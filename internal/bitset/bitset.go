@@ -1,6 +1,7 @@
 // Package bitset provides the multi-word bitmask shared by the radio
-// engine, the fault layer and the observation surface: a flat []uint64
-// with dense single-bit operations and no internal length bookkeeping.
+// engine, the fault layer, the observation surface and the protocols'
+// per-node scratch: a flat []uint64 with dense single-bit operations and
+// no internal length bookkeeping.
 //
 // The type is deliberately minimal. A Set is just words; callers size it
 // for the bit universe they address (Words(n) words cover n bits) and

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"securadio/internal/feedback"
 	"securadio/internal/game"
@@ -59,13 +60,16 @@ func Run(env radio.Env, p Params, edges []graph.Edge, myValues map[int]radio.Mes
 	reps := feedback.Reps(p.N, p.C, p.T, p.Kappa)
 	mergeReps := feedback.MergeReps(p.N, p.Kappa)
 
+	// The node's schedule and feedback scratch, reused move after move.
+	sched := new(schedule)
+	var fb feedback.Scratch
+
 	// playMove simulates one game move: one transmission round plus one
 	// feedback phase, then applies the agreed referee response. The
 	// cleanup extension tolerates moves without progress (the adversary
 	// may own every edge channel there); the main game does not.
 	playMove := func(items []game.Item, requireProgress bool) error {
-		sched, err := buildSchedule(p, items, surrogates)
-		if err != nil {
+		if err := sched.build(p, items, surrogates); err != nil {
 			return err
 		}
 
@@ -104,10 +108,11 @@ func Run(env radio.Env, p Params, edges []graph.Edge, myValues map[int]radio.Mes
 		// --- Feedback phase: agree on the referee's response ---
 		fw := sched.feedbackWitnesses(p)
 		var d []bool
+		var err error
 		if p.EffectiveRegime() == Regime2T2 {
-			d, err = feedback.RunParallel(env, fw, flag, mergeReps, reps)
+			d, err = fb.RunParallel(env, fw, flag, mergeReps, reps)
 		} else {
-			d, err = feedback.Run(env, fw, flag, reps)
+			d, err = fb.Run(env, fw, flag, reps)
 		}
 		if err != nil {
 			return fmt.Errorf("core: feedback: %w", err)
@@ -132,7 +137,8 @@ func Run(env radio.Env, p Params, edges []graph.Edge, myValues map[int]radio.Mes
 				}
 			} else {
 				st.Star(it.Node)
-				surrogates[it.Node] = sched.witnesses[c]
+				// The pool is rebuilt next move; the recruitment set lasts.
+				surrogates[it.Node] = slices.Clone(sched.witnesses[c])
 			}
 		}
 		if requireProgress && !progress {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"securadio/internal/feedback"
 	"securadio/internal/game"
 	"securadio/internal/graph"
@@ -31,7 +33,8 @@ type ScheduleAwareJammer struct {
 	// Phase bookkeeping: number of feedback rounds remaining before the
 	// next transmission round; the schedule planned for the pending move.
 	feedbackLeft int
-	pending      *schedule
+	sched        schedule  // rebuilt in place every transmission round
+	pending      *schedule // &sched while its move awaits Observe
 	reps         int
 	mergeReps    int
 	done         bool
@@ -82,8 +85,8 @@ func (j *ScheduleAwareJammer) Plan(int) []radio.Transmission {
 		j.done = true
 		return nil
 	}
-	sched, err := buildSchedule(j.params, items, j.surro)
-	if err != nil {
+	sched := &j.sched
+	if err := sched.build(j.params, items, j.surro); err != nil {
 		// Replica diverged (a whp feedback failure happened); back off.
 		j.done = true
 		return nil
@@ -136,7 +139,7 @@ func (j *ScheduleAwareJammer) Observe(obs radio.RoundObservation) {
 			j.st.RemoveEdge(it.Edge)
 		} else {
 			j.st.Star(it.Node)
-			j.surro[it.Node] = sched.witnesses[c]
+			j.surro[it.Node] = slices.Clone(sched.witnesses[c])
 		}
 	}
 	// The feedback phase that follows this move.

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
+	"securadio/internal/bitset"
 	"securadio/internal/game"
 )
 
@@ -12,6 +14,10 @@ import (
 // protocol authenticated: each live channel carries exactly one scheduled
 // honest broadcaster, so the adversary can collide with it but can never
 // be mistaken for it.
+//
+// A node keeps one schedule for the whole run and rebuilds it in place
+// every move, so the slices below (witness pools included) are only valid
+// until the next build.
 type schedule struct {
 	items []game.Item
 
@@ -20,6 +26,14 @@ type schedule struct {
 	vectorOwner []int // whose value vector is transmitted
 	dest        []int // destination node, or -1 for node items
 	witnesses   [][]int
+
+	pool []int   // backing store of the witness pools
+	fw   [][]int // feedbackWitnesses result
+
+	// Per-node duties of the move being built.
+	reserved  bitset.Set // proposal participants: node items, sources, destinations
+	listening bitset.Set // edge destinations: they must listen this move
+	assigned  bitset.Set // nodes transmitting this move
 }
 
 // live returns the number of live channels this move.
@@ -59,7 +73,7 @@ func (s *schedule) roleOf(id int) role {
 	return role{kind: roleIdle}
 }
 
-// buildSchedule derives the transmission-phase schedule for a proposal:
+// build derives the transmission-phase schedule for a proposal:
 //
 //   - item i is assigned live channel i (canonical order);
 //   - a node item broadcasts its own vector;
@@ -74,100 +88,96 @@ func (s *schedule) roleOf(id int) role {
 // node IDs — the ones experiment workloads give AME edges to — never pull
 // double duty as witnesses; any deterministic rule shared by all nodes
 // works, and this one keeps the adversarial-scheduling experiments sharp.
-func buildSchedule(p Params, items []game.Item, surrogates map[int][]int) (*schedule, error) {
+func (s *schedule) build(p Params, items []game.Item, surrogates map[int][]int) error {
 	l := len(items)
-	s := &schedule{
-		items:       items,
-		broadcaster: make([]int, l),
-		vectorOwner: make([]int, l),
-		dest:        make([]int, l),
-		witnesses:   make([][]int, l),
-	}
+	s.items = items
+	s.broadcaster = slices.Grow(s.broadcaster[:0], l)[:l]
+	s.vectorOwner = slices.Grow(s.vectorOwner[:0], l)[:l]
+	s.dest = slices.Grow(s.dest[:0], l)[:l]
+	s.witnesses = slices.Grow(s.witnesses[:0], l)[:l]
+	s.reserved = bitset.Sized(s.reserved, p.N)
+	s.listening = bitset.Sized(s.listening, p.N)
+	s.assigned = bitset.Sized(s.assigned, p.N)
 
 	// Reserve every proposal participant: node items, sources and
 	// destinations. Reserved nodes never serve as witnesses or surrogates
 	// this move.
-	reserved := make(map[int]bool, 2*l)
-	listening := make(map[int]bool, l) // nodes that must listen this move
 	for _, it := range items {
 		if it.IsEdge {
-			reserved[it.Edge.Src] = true
-			reserved[it.Edge.Dst] = true
-			listening[it.Edge.Dst] = true
+			s.reserved.Add(it.Edge.Src)
+			s.reserved.Add(it.Edge.Dst)
+			s.listening.Add(it.Edge.Dst)
 		} else {
-			reserved[it.Node] = true
+			s.reserved.Add(it.Node)
 		}
 	}
 
-	assigned := make(map[int]bool, l) // nodes already transmitting this move
 	for c, it := range items {
 		if !it.IsEdge {
 			v := it.Node
 			s.broadcaster[c] = v
 			s.vectorOwner[c] = v
 			s.dest[c] = -1
-			assigned[v] = true
+			s.assigned.Add(v)
 			continue
 		}
 		v, w := it.Edge.Src, it.Edge.Dst
 		s.vectorOwner[c] = v
 		s.dest[c] = w
-		if !assigned[v] && !listening[v] {
+		if !s.assigned.Get(v) && !s.listening.Get(v) {
 			s.broadcaster[c] = v
-			assigned[v] = true
+			s.assigned.Add(v)
 			continue
 		}
 		// The source is busy: recruit the lowest-numbered free surrogate.
 		sur := -1
 		for _, cand := range surrogates[v] {
-			if !reserved[cand] && !assigned[cand] {
+			if !s.reserved.Get(cand) && !s.assigned.Get(cand) {
 				sur = cand
 				break
 			}
 		}
 		if sur < 0 {
-			return nil, fmt.Errorf("%w: no free surrogate for starred source %d", ErrSchedule, v)
+			return fmt.Errorf("%w: no free surrogate for starred source %d", ErrSchedule, v)
 		}
 		s.broadcaster[c] = sur
-		assigned[sur] = true
+		s.assigned.Add(sur)
 	}
 
 	// Witnesses: omega per live channel, descending IDs, skipping every
 	// node with a duty this move.
 	omega := p.WitnessesPerChannel()
+	s.pool = slices.Grow(s.pool[:0], l*omega)[:l*omega]
 	next := p.N - 1
 	for c := 0; c < l; c++ {
-		ws := make([]int, 0, omega)
+		ws := s.pool[c*omega : c*omega : (c+1)*omega]
 		for len(ws) < omega && next >= 0 {
-			if !reserved[next] && !assigned[next] {
+			if !s.reserved.Get(next) && !s.assigned.Get(next) {
 				ws = append(ws, next)
 			}
 			next--
 		}
 		if len(ws) < omega {
-			return nil, fmt.Errorf("%w: ran out of witnesses (channel %d: %d of %d)",
+			return fmt.Errorf("%w: ran out of witnesses (channel %d: %d of %d)",
 				ErrSchedule, c, len(ws), omega)
 		}
 		s.witnesses[c] = ws
 	}
-	return s, nil
+	return nil
 }
 
 // feedbackWitnesses trims the witness pools to the shape the feedback
 // routine needs: exactly C members per monitored channel for the
 // sequential routine, the full pool for the parallel one.
 func (s *schedule) feedbackWitnesses(p Params) [][]int {
-	out := make([][]int, s.live())
 	if p.EffectiveRegime() == Regime2T2 {
-		for c, ws := range s.witnesses {
-			out[c] = ws
-		}
-		return out
+		return s.witnesses
 	}
-	for c, ws := range s.witnesses {
-		out[c] = ws[:p.C]
+	s.fw = s.fw[:0]
+	for _, ws := range s.witnesses {
+		s.fw = append(s.fw, ws[:p.C])
 	}
-	return out
+	return s.fw
 }
 
 // proposalFor derives the current move's proposal from the game state.

@@ -11,6 +11,15 @@ import (
 
 func newTestRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
+// buildSchedule builds a fresh schedule for one proposal.
+func buildSchedule(p Params, items []game.Item, surrogates map[int][]int) (*schedule, error) {
+	s := new(schedule)
+	if err := s.build(p, items, surrogates); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 func TestBuildScheduleNodeItems(t *testing.T) {
 	p := Params{N: 40, C: 3, T: 2, Regime: RegimeBase}
 	items := []game.Item{game.NodeItem(0), game.NodeItem(1), game.NodeItem(2)}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 
+	"securadio/internal/bitset"
 	"securadio/internal/radio"
 )
 
@@ -86,27 +87,41 @@ func MergeReps(n int, kappa float64) int {
 // number of monitored channels.
 func Rounds(monitored, reps int) int { return monitored * reps }
 
-// validateWitnesses checks that every witness set has exactly `size`
-// distinct members in [0, n) and that no node witnesses two channels.
-func validateWitnesses(witnesses [][]int, n, size int) error {
-	seen := make(map[int]int)
+// Scratch is one node's reusable working memory for Run and RunParallel:
+// the set of witnesses the witness-assignment check has seen, a bitset
+// that every call clears and refills. The zero value is ready to use. A
+// Scratch is not safe for concurrent use; each node owns its own.
+type Scratch struct {
+	seen bitset.Set
+}
+
+// validate checks that every witness set has exactly `size` distinct
+// members in [0, n) and that no node witnesses two channels. It also
+// returns node me's (channel, rank) in the assignment, or (-1, -1).
+func (s *Scratch) validate(witnesses [][]int, n, size, me int) (channel, rank int, err error) {
+	channel, rank = -1, -1
+	s.seen = bitset.Sized(s.seen, n)
 	for c, ws := range witnesses {
 		if len(ws) != size {
-			return fmt.Errorf("%w: channel %d has %d witnesses, want %d",
+			return -1, -1, fmt.Errorf("%w: channel %d has %d witnesses, want %d",
 				ErrBadWitnesses, c, len(ws), size)
 		}
-		for _, w := range ws {
+		for r, w := range ws {
 			if w < 0 || w >= n {
-				return fmt.Errorf("%w: witness %d out of range", ErrBadWitnesses, w)
+				return -1, -1, fmt.Errorf("%w: witness %d out of range", ErrBadWitnesses, w)
 			}
-			if prev, dup := seen[w]; dup {
-				return fmt.Errorf("%w: node %d witnesses both channel %d and %d",
+			if s.seen.Get(w) {
+				prev, _ := membership(witnesses, w)
+				return -1, -1, fmt.Errorf("%w: node %d witnesses both channel %d and %d",
 					ErrBadWitnesses, w, prev, c)
 			}
-			seen[w] = c
+			s.seen.Add(w)
+			if w == me {
+				channel, rank = c, r
+			}
 		}
 	}
-	return nil
+	return channel, rank, nil
 }
 
 // membership returns (channel, rank) of the node in the witness
@@ -133,31 +148,43 @@ func membership(witnesses [][]int, id int) (channel, rank int) {
 // assignment. The call consumes exactly len(witnesses)*reps rounds on
 // every node and returns the agreed per-channel flags.
 func Run(env radio.Env, witnesses [][]int, myFlag bool, reps int) ([]bool, error) {
-	if err := validateWitnesses(witnesses, env.N(), env.C()); err != nil {
+	return new(Scratch).Run(env, witnesses, myFlag, reps)
+}
+
+// Run is the package-level Run on the node's own scratch: after the
+// node's first call, checking the witness assignment allocates nothing.
+func (s *Scratch) Run(env radio.Env, witnesses [][]int, myFlag bool, reps int) ([]bool, error) {
+	myChannel, myRank, err := s.validate(witnesses, env.N(), env.C(), env.ID())
+	if err != nil {
 		return nil, err
 	}
 	if reps < 1 {
 		return nil, fmt.Errorf("%w: reps = %d", ErrBadWitnesses, reps)
 	}
-	myChannel, myRank := membership(witnesses, env.ID())
 	d := make([]bool, len(witnesses))
 
 	for r := range witnesses {
+		// A witness for r sends the same message on every repetition, so
+		// it is boxed once.
+		var mine radio.Message
+		switch {
+		case myChannel == r && !myFlag:
+			// Witness for r with a false flag: occupy my rank channel
+			// with <false> so the adversary cannot spoof a <true, r>.
+			mine = Msg{}
+		case myChannel == r && myFlag:
+			d[r] = true
+			mine = Msg{True: true, Channel: r}
+		}
 		for i := 0; i < reps; i++ {
-			switch {
-			case myChannel == r && !myFlag:
-				// Witness for r with a false flag: occupy my rank channel
-				// with <false> so the adversary cannot spoof a <true, r>.
-				env.Transmit(myRank, Msg{})
-			case myChannel == r && myFlag:
+			if mine != nil {
+				env.Transmit(myRank, mine)
+				continue
+			}
+			// Not a witness for r: listen on a random channel.
+			k := env.Rand().Intn(env.C())
+			if m, ok := env.Listen(k).(Msg); ok && m.True && m.Channel == r {
 				d[r] = true
-				env.Transmit(myRank, Msg{True: true, Channel: r})
-			default:
-				// Not a witness for r: listen on a random channel.
-				k := env.Rand().Intn(env.C())
-				if m, ok := env.Listen(k).(Msg); ok && m.True && m.Channel == r {
-					d[r] = true
-				}
 			}
 		}
 	}

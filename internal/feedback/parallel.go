@@ -3,6 +3,7 @@ package feedback
 import (
 	"fmt"
 
+	"securadio/internal/bitset"
 	"securadio/internal/radio"
 )
 
@@ -60,6 +61,11 @@ func bandSize(c, t int) int {
 // call consumes ParallelRounds(len(witnesses), mergeReps, finalReps)
 // rounds on every node.
 func RunParallel(env radio.Env, witnesses [][]int, myFlag bool, mergeReps, finalReps int) ([]bool, error) {
+	return new(Scratch).RunParallel(env, witnesses, myFlag, mergeReps, finalReps)
+}
+
+// RunParallel is the package-level RunParallel on the node's own scratch.
+func (s *Scratch) RunParallel(env radio.Env, witnesses [][]int, myFlag bool, mergeReps, finalReps int) ([]bool, error) {
 	n, c, t := env.N(), env.C(), env.T()
 	band := bandSize(c, t)
 	L := len(witnesses)
@@ -69,7 +75,7 @@ func RunParallel(env radio.Env, witnesses [][]int, myFlag bool, mergeReps, final
 	if mergeReps < 1 || finalReps < 1 {
 		return nil, fmt.Errorf("%w: non-positive repetition counts", ErrBadWitnesses)
 	}
-	seen := make(map[int]bool)
+	s.seen = bitset.Sized(s.seen, n)
 	total := 0
 	for i, ws := range witnesses {
 		if len(ws) < band {
@@ -80,10 +86,10 @@ func RunParallel(env radio.Env, witnesses [][]int, myFlag bool, mergeReps, final
 			if w < 0 || w >= n {
 				return nil, fmt.Errorf("%w: witness %d out of range", ErrBadWitnesses, w)
 			}
-			if seen[w] {
+			if s.seen.Get(w) {
 				return nil, fmt.Errorf("%w: node %d witnesses two channels", ErrBadWitnesses, w)
 			}
-			seen[w] = true
+			s.seen.Add(w)
 			total++
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 
+	"securadio/internal/bitset"
 	"securadio/internal/graph"
 )
 
@@ -59,11 +60,17 @@ func SortItems(items []Item) {
 }
 
 // State is the shared game state: the remaining graph G, the starred set
-// S, and the resilience parameter t.
+// S, and the resilience parameter t. It also holds the scratch that Greedy
+// and GreedyMatchingProposal reuse from move to move, so a State is not
+// safe for concurrent use; every replica owns its own.
 type State struct {
 	G *graph.DSet
 	S map[int]bool
 	T int
+
+	nodes []int        // proposal scratch: node items
+	edges []graph.Edge // proposal scratch: edge items
+	taken bitset.Set   // proposal scratch: vertices a chosen edge uses
 }
 
 // NewState starts a game over the given edge set.
@@ -78,6 +85,22 @@ func (st *State) Clone() *State {
 		s[k] = v
 	}
 	return &State{G: st.G.Clone(), S: s, T: st.T}
+}
+
+// proposal copies scratch node and edge items into a fresh proposal, or
+// returns nil when it would have fewer than minSize items.
+func proposal(nodes []int, edges []graph.Edge, minSize int) []Item {
+	if len(nodes)+len(edges) < minSize {
+		return nil
+	}
+	items := make([]Item, 0, len(nodes)+len(edges))
+	for _, v := range nodes {
+		items = append(items, NodeItem(v))
+	}
+	for _, e := range edges {
+		items = append(items, EdgeItem(e))
+	}
+	return items
 }
 
 // Star marks node v as starred.
@@ -193,31 +216,42 @@ func (st *State) checkRestrictions(items []Item) error {
 // legal items exist — the strategy has terminated, and by Lemma 3 the
 // graph's minimum vertex cover is at most minSize-1 (i.e. at most t when
 // minSize = t+1).
+//
+// It walks the canonical edge order once, source by source, and stops as
+// soon as P1 alone fills the proposal. An unstarred source is in P1 (it
+// has an out-edge); an edge with a starred source is in P2 unless its
+// destination is an unstarred source. Destination-disjoint selection keeps
+// a prefix when cut short, so collecting up to maxSize P2 edges and
+// trimming them to the room P1 leaves gives the same proposal as P1 then P2.
 func (st *State) Greedy(minSize, maxSize int) []Item {
-	items := make([]Item, 0, maxSize)
-	for _, v := range st.P1() {
-		if len(items) == maxSize {
-			break
+	g := st.G
+	nodes, edges := st.nodes[:0], st.edges[:0]
+	st.taken = bitset.Sized(st.taken, g.N()) // P2 destinations chosen
+	for i, n := 0, g.Len(); i < n && len(nodes) < maxSize; {
+		src := g.At(i).Src
+		end := i + 1
+		for end < n && g.At(end).Src == src {
+			end++
 		}
-		items = append(items, NodeItem(v))
-	}
-	if len(items) < maxSize {
-		dstSeen := make(map[int]bool)
-		for _, e := range st.P2() {
-			if len(items) == maxSize {
-				break
+		if !st.S[src] {
+			nodes = append(nodes, src)
+		} else {
+			for ; i < end && len(edges) < maxSize; i++ {
+				e := g.At(i)
+				if st.taken.Get(e.Dst) || (!st.S[e.Dst] && g.HasSource(e.Dst)) {
+					continue
+				}
+				st.taken.Add(e.Dst)
+				edges = append(edges, e)
 			}
-			if dstSeen[e.Dst] {
-				continue
-			}
-			dstSeen[e.Dst] = true
-			items = append(items, EdgeItem(e))
 		}
+		i = end
 	}
-	if len(items) < minSize {
-		return nil
+	st.nodes, st.edges = nodes, edges
+	if room := maxSize - len(nodes); len(edges) > room {
+		edges = edges[:max(room, 0)]
 	}
-	return items
+	return proposal(nodes, edges, minSize)
 }
 
 // GreedyMatchingProposal is the direct/Byzantine variant (Section 8,
@@ -228,23 +262,20 @@ func (st *State) Greedy(minSize, maxSize int) []Item {
 // remaining graph's maximum matching is below minSize and its vertex cover
 // is therefore below 2*minSize (2t-disruptability for minSize = t+1).
 func (st *State) GreedyMatchingProposal(minSize, maxSize int) []Item {
-	used := make(map[int]bool)
-	items := make([]Item, 0, maxSize)
-	for _, e := range st.G.Edges() {
-		if len(items) == maxSize {
-			break
-		}
-		if used[e.Src] || used[e.Dst] {
+	g := st.G
+	edges := st.edges[:0]
+	st.taken = bitset.Sized(st.taken, g.N()) // matched endpoints
+	for i, n := 0, g.Len(); i < n && len(edges) < maxSize; i++ {
+		e := g.At(i)
+		if st.taken.Get(e.Src) || st.taken.Get(e.Dst) {
 			continue
 		}
-		used[e.Src] = true
-		used[e.Dst] = true
-		items = append(items, EdgeItem(e))
+		st.taken.Add(e.Src)
+		st.taken.Add(e.Dst)
+		edges = append(edges, e)
 	}
-	if len(items) < minSize {
-		return nil
-	}
-	return items
+	st.edges = edges
+	return proposal(nil, edges, minSize)
 }
 
 // Apply replays a referee response: every chosen node is starred, every

@@ -359,3 +359,31 @@ func TestGreedyStarsBeforeEdges(t *testing.T) {
 		}
 	}
 }
+
+// TestGreedyAllocations pins both proposal strategies at one allocation
+// per call, the proposal itself, once the State's scratch is warm.
+func TestGreedyAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g, err := graph.FromEdges(150, graph.RandomPairs(150, 400, rng.Intn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewState(g, 1)
+	for v := 3; v < 150; v++ {
+		st.Star(v) // P1 is at most {0, 1, 2}: the proposal needs P2 edges
+	}
+	for _, tc := range []struct {
+		name string
+		f    func() []Item
+	}{
+		{"Greedy", func() []Item { return st.Greedy(2, 8) }},
+		{"GreedyMatchingProposal", func() []Item { return st.GreedyMatchingProposal(2, 8) }},
+	} {
+		if items := tc.f(); len(items) != 8 || !items[len(items)-1].IsEdge {
+			t.Fatalf("%s: proposal %v, want 8 items ending in an edge", tc.name, items)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { tc.f() }); allocs > 1 {
+			t.Errorf("%s: %v allocs per call, want at most 1", tc.name, allocs)
+		}
+	}
+}

@@ -5,7 +5,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -26,28 +29,46 @@ func (e Edge) Less(o Edge) bool {
 	return e.Dst < o.Dst
 }
 
-// DSet is a mutable set of directed edges over vertices [0, n). The zero
-// value is not ready to use; construct with NewDSet.
+// DSet is a mutable set of directed edges over vertices [0, n). It keeps
+// its edges in canonical (Src, Dst) order without duplicates, so every
+// enumeration (Edges, Sources, OutEdges, At) is in that order and costs no
+// sort; Has, Add and Remove are binary searches. The zero value is not
+// ready to use; construct with NewDSet.
 type DSet struct {
 	n     int
-	edges map[Edge]bool
+	edges []Edge // canonical order, no duplicates
 }
 
 // NewDSet returns an empty edge set over n vertices.
 func NewDSet(n int) *DSet {
-	return &DSet{n: n, edges: make(map[Edge]bool)}
+	return &DSet{n: n}
 }
 
 // FromEdges builds a DSet over n vertices containing the given edges.
-// It returns an error if any edge is out of range or a self-loop.
+// It returns an error for the first edge, in input order, that is out of
+// range or a self-loop.
 func FromEdges(n int, edges []Edge) (*DSet, error) {
 	s := NewDSet(n)
 	for _, e := range edges {
-		if err := s.Add(e); err != nil {
+		if err := s.check(e); err != nil {
 			return nil, err
 		}
 	}
+	s.edges = append(make([]Edge, 0, len(edges)), edges...)
+	slices.SortFunc(s.edges, compareEdges)
+	s.edges = slices.Compact(s.edges)
 	return s, nil
+}
+
+// compareEdges is the canonical (Src, Dst) order as a comparison.
+func compareEdges(a, b Edge) int {
+	return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+}
+
+// search returns the index of the first edge not below e in canonical
+// order, and whether that edge is e itself.
+func (s *DSet) search(e Edge) (int, bool) {
+	return slices.BinarySearchFunc(s.edges, e, compareEdges)
 }
 
 // N returns the number of vertices.
@@ -56,68 +77,84 @@ func (s *DSet) N() int { return s.n }
 // Len returns the number of edges.
 func (s *DSet) Len() int { return len(s.edges) }
 
-// Has reports whether the edge is present.
-func (s *DSet) Has(e Edge) bool { return s.edges[e] }
+// At returns the i-th edge in canonical order, 0 <= i < Len(). Together
+// with Len it walks the set without copying it.
+func (s *DSet) At(i int) Edge { return s.edges[i] }
 
-// Add inserts an edge. Self-loops and out-of-range endpoints are rejected.
-func (s *DSet) Add(e Edge) error {
+// Has reports whether the edge is present.
+func (s *DSet) Has(e Edge) bool {
+	_, ok := s.search(e)
+	return ok
+}
+
+// HasSource reports whether v is the source of some edge.
+func (s *DSet) HasSource(v int) bool {
+	i, _ := s.search(Edge{Src: v, Dst: math.MinInt})
+	return i < len(s.edges) && s.edges[i].Src == v
+}
+
+func (s *DSet) check(e Edge) error {
 	if e.Src < 0 || e.Src >= s.n || e.Dst < 0 || e.Dst >= s.n {
 		return fmt.Errorf("graph: edge %v out of range [0,%d)", e, s.n)
 	}
 	if e.Src == e.Dst {
 		return fmt.Errorf("graph: self-loop %v", e)
 	}
-	s.edges[e] = true
+	return nil
+}
+
+// Add inserts an edge. Self-loops and out-of-range endpoints are rejected.
+func (s *DSet) Add(e Edge) error {
+	if err := s.check(e); err != nil {
+		return err
+	}
+	if i, ok := s.search(e); !ok {
+		s.edges = slices.Insert(s.edges, i, e)
+	}
 	return nil
 }
 
 // Remove deletes an edge; removing an absent edge is a no-op.
-func (s *DSet) Remove(e Edge) { delete(s.edges, e) }
+func (s *DSet) Remove(e Edge) {
+	if i, ok := s.search(e); ok {
+		s.edges = slices.Delete(s.edges, i, i+1)
+	}
+}
 
 // Edges returns the edges in canonical (Src, Dst) order. The returned
 // slice is freshly allocated.
 func (s *DSet) Edges() []Edge {
-	out := make([]Edge, 0, len(s.edges))
-	for e := range s.edges {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	return append(make([]Edge, 0, len(s.edges)), s.edges...)
 }
 
 // Clone returns an independent copy.
 func (s *DSet) Clone() *DSet {
-	c := NewDSet(s.n)
-	for e := range s.edges {
-		c.edges[e] = true
-	}
-	return c
+	return &DSet{n: s.n, edges: s.Edges()}
 }
 
 // Sources returns the distinct edge sources in ascending order.
 func (s *DSet) Sources() []int {
-	seen := make(map[int]bool)
-	for e := range s.edges {
-		seen[e.Src] = true
+	out := make([]int, 0)
+	for i, e := range s.edges {
+		if i == 0 || e.Src != s.edges[i-1].Src {
+			out = append(out, e.Src)
+		}
 	}
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Ints(out)
 	return out
 }
 
-// OutEdges returns the edges with the given source, in canonical order.
+// OutEdges returns the edges with the given source, in canonical order
+// (nil when there are none).
 func (s *DSet) OutEdges(src int) []Edge {
-	var out []Edge
-	for e := range s.edges {
-		if e.Src == src {
-			out = append(out, e)
-		}
+	lo, _ := s.search(Edge{Src: src, Dst: math.MinInt})
+	hi := lo
+	for hi < len(s.edges) && s.edges[hi].Src == src {
+		hi++
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	if hi == lo {
+		return nil
+	}
+	return append([]Edge(nil), s.edges[lo:hi]...)
 }
 
 // VertexCoverAtMost reports whether the edge set has a vertex cover of
@@ -129,7 +166,7 @@ func (s *DSet) VertexCoverAtMost(k int) bool {
 	if k < 0 {
 		return false
 	}
-	return coverBranch(s.Edges(), k, make(map[int]bool))
+	return coverBranch(s.edges, k, make(map[int]bool))
 }
 
 func coverBranch(edges []Edge, k int, covered map[int]bool) bool {
@@ -177,7 +214,7 @@ func (s *DSet) MinVertexCover() int {
 func (s *DSet) MinVertexCoverSet() []int {
 	k := s.MinVertexCover()
 	cover := make(map[int]bool, k)
-	if !coverSearch(s.Edges(), k, cover) {
+	if !coverSearch(s.edges, k, cover) {
 		return nil // unreachable: MinVertexCover found this k feasible
 	}
 	out := make([]int, 0, len(cover))
@@ -221,7 +258,7 @@ func (s *DSet) IsVertexCover(vs []int) bool {
 	for _, v := range vs {
 		in[v] = true
 	}
-	for e := range s.edges {
+	for _, e := range s.edges {
 		if !in[e.Src] && !in[e.Dst] {
 			return false
 		}
@@ -238,7 +275,7 @@ func (s *DSet) IsVertexCover(vs []int) bool {
 func (s *DSet) GreedyMatching() []Edge {
 	used := make(map[int]bool)
 	var out []Edge
-	for _, e := range s.Edges() {
+	for _, e := range s.edges {
 		if used[e.Src] || used[e.Dst] {
 			continue
 		}

@@ -289,6 +289,10 @@ func RunNode(env radio.Env, p Params, out *NodeResult) {
 		}
 	}
 
+	plain := []byte(incompleteMarker) // this node's Part 2 plaintext as a sender
+	if out.Complete {
+		plain = append([]byte("key:"), myLeaderKey[:]...)
+	}
 	epochLen := p.Part2EpochRounds()
 	epoch := 0
 	for _, l := range leaders {
@@ -314,17 +318,14 @@ func RunNode(env radio.Env, p Params, out *NodeResult) {
 				continue
 			}
 			hopper := wcrypto.NewHopper(pairKey, fmt.Sprintf("part2/%d", epoch), p.C)
+			sealer := wcrypto.NewSealer(pairKey)
 			for i := 0; i < epochLen; i++ {
 				ch := hopper.Channel(uint64(i))
 				if iAmSender {
-					plain := []byte(incompleteMarker)
-					if out.Complete {
-						plain = append([]byte("key:"), myLeaderKey[:]...)
-					}
-					env.Transmit(ch, sealEpoch(pairKey, epoch, i, plain))
+					env.Transmit(ch, sealEpoch(sealer, epoch, i, plain))
 					continue
 				}
-				body, ok := openEpoch(pairKey, epoch, i, env.Listen(ch))
+				body, ok := openEpoch(sealer, epoch, i, env.Listen(ch))
 				if !ok {
 					continue
 				}
@@ -410,17 +411,18 @@ func smallestLeaderKey(keys map[int]wcrypto.Key) (int, bool) {
 }
 
 // sealEpoch / openEpoch bind Part 2 ciphertexts to their epoch and round,
-// defeating cross-epoch replay.
-func sealEpoch(k wcrypto.Key, epoch, round int, plain []byte) []byte {
-	return wcrypto.Seal(k, epochNonce(epoch, round), plain)
+// defeating cross-epoch replay. The sealer holds the epoch's pairwise key.
+func sealEpoch(s *wcrypto.Sealer, epoch, round int, plain []byte) []byte {
+	nonce := epochNonce(epoch, round)
+	return s.Seal(nonce[:], plain)
 }
 
-func openEpoch(k wcrypto.Key, epoch, round int, msg radio.Message) ([]byte, bool) {
+func openEpoch(s *wcrypto.Sealer, epoch, round int, msg radio.Message) ([]byte, bool) {
 	ct, ok := msg.([]byte)
 	if !ok {
 		return nil, false
 	}
-	body, nonce, err := wcrypto.Open(k, 16, ct)
+	body, nonce, err := s.Open(16, ct)
 	if err != nil {
 		return nil, false
 	}
@@ -433,8 +435,8 @@ func openEpoch(k wcrypto.Key, epoch, round int, msg radio.Message) ([]byte, bool
 	return body, true
 }
 
-func epochNonce(epoch, round int) []byte {
-	nonce := make([]byte, 16)
+func epochNonce(epoch, round int) [16]byte {
+	var nonce [16]byte
 	binary.BigEndian.PutUint64(nonce[:8], uint64(epoch))
 	binary.BigEndian.PutUint64(nonce[8:], uint64(round))
 	return nonce

@@ -216,18 +216,18 @@ func TestParamsValidate(t *testing.T) {
 }
 
 func TestEpochNonceBinding(t *testing.T) {
-	k := wcrypto.KeyFromBytes("t", nil)
-	ct := sealEpoch(k, 3, 9, []byte("payload"))
-	if _, ok := openEpoch(k, 3, 9, radio.Message(ct)); !ok {
+	s := wcrypto.NewSealer(wcrypto.KeyFromBytes("t", nil))
+	ct := sealEpoch(s, 3, 9, []byte("payload"))
+	if _, ok := openEpoch(s, 3, 9, radio.Message(ct)); !ok {
 		t.Fatal("legitimate epoch ciphertext rejected")
 	}
-	if _, ok := openEpoch(k, 3, 10, radio.Message(ct)); ok {
+	if _, ok := openEpoch(s, 3, 10, radio.Message(ct)); ok {
 		t.Fatal("cross-round replay accepted")
 	}
-	if _, ok := openEpoch(k, 4, 9, radio.Message(ct)); ok {
+	if _, ok := openEpoch(s, 4, 9, radio.Message(ct)); ok {
 		t.Fatal("cross-epoch replay accepted")
 	}
-	if _, ok := openEpoch(k, 3, 9, "not-bytes"); ok {
+	if _, ok := openEpoch(s, 3, 9, "not-bytes"); ok {
 		t.Fatal("non-ciphertext accepted")
 	}
 }

@@ -77,8 +77,9 @@ type Received struct {
 type Channel struct {
 	env     radio.Env
 	p       Params
-	key     wcrypto.Key
+	sealer  *wcrypto.Sealer
 	hopper  *wcrypto.Hopper
+	nonce   [16]byte // frame nonce scratch: Seal copies it into the frame
 	emRound int
 }
 
@@ -93,7 +94,7 @@ func Attach(env radio.Env, p Params, key wcrypto.Key) (*Channel, error) {
 	return &Channel{
 		env:    env,
 		p:      p,
-		key:    key,
+		sealer: wcrypto.NewSealer(key),
 		hopper: wcrypto.NewHopper(key, "longlived", p.C),
 	}, nil
 }
@@ -134,7 +135,8 @@ func (ch *Channel) Step(body []byte) []Received {
 // replay across emulated rounds; binding the sender authenticates origin
 // within the honest group.
 func (ch *Channel) seal(em int, body []byte) []byte {
-	return wcrypto.Seal(ch.key, frameNonce(em, ch.env.ID()), body)
+	putFrameNonce(ch.nonce[:], em, ch.env.ID())
+	return ch.sealer.Seal(ch.nonce[:], body)
 }
 
 // open validates a frame against the current emulated round.
@@ -143,7 +145,7 @@ func (ch *Channel) open(em int, msg radio.Message) (Received, bool) {
 	if !ok {
 		return Received{}, false
 	}
-	body, nonce, err := wcrypto.Open(ch.key, 16, ct)
+	body, nonce, err := ch.sealer.Open(16, ct)
 	if err != nil {
 		return Received{}, false
 	}
@@ -155,9 +157,8 @@ func (ch *Channel) open(em int, msg radio.Message) (Received, bool) {
 	return Received{Sender: sender, EmRound: em, Body: body}, true
 }
 
-func frameNonce(em, sender int) []byte {
-	nonce := make([]byte, 16)
+// putFrameNonce writes the frame nonce (emulated round, sender) into nonce.
+func putFrameNonce(nonce []byte, em, sender int) {
 	binary.BigEndian.PutUint64(nonce[:8], uint64(em))
 	binary.BigEndian.PutUint64(nonce[8:], uint64(sender))
-	return nonce
 }

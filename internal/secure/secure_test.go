@@ -238,3 +238,9 @@ func TestAttachValidates(t *testing.T) {
 		}
 	}
 }
+
+func frameNonce(em, sender int) []byte {
+	nonce := make([]byte, 16)
+	putFrameNonce(nonce, em, sender)
+	return nonce
+}

@@ -8,6 +8,10 @@
 // crypto/hmac, math/big). The paper's secrecy guarantees are computational
 // (it cites the Computational Diffie-Hellman assumption); this package
 // inherits exactly those assumptions.
+//
+// A PRF, a Hopper and a Sealer keep keyed HMAC state that every call
+// reuses, so none of them is safe for concurrent use: each node owns its
+// own. The package-level Seal and Open build a fresh Sealer per call.
 package wcrypto
 
 import (
@@ -16,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"math/big"
 	"math/rand"
 )
@@ -46,26 +51,34 @@ func Hash(domain string, parts ...[]byte) [32]byte {
 }
 
 // PRF is a pseudo-random function keyed with a symmetric key
-// (HMAC-SHA256). The zero value is unusable; construct with NewPRF.
+// (HMAC-SHA256). It keeps one keyed HMAC and resets it for every block,
+// so it is not safe for concurrent use. The zero value is unusable;
+// construct with NewPRF.
 type PRF struct {
-	key Key
+	mac hash.Hash
+	in  []byte   // the block input being authenticated
+	out [32]byte // the block output
 }
 
 // NewPRF returns a PRF keyed with k.
-func NewPRF(k Key) *PRF { return &PRF{key: k} }
+func NewPRF(k Key) *PRF { return &PRF{mac: hmac.New(sha256.New, k[:])} }
 
 // Block returns the 32-byte PRF output for (label, counter).
 func (p *PRF) Block(label string, counter uint64) [32]byte {
-	mac := hmac.New(sha256.New, p.key[:])
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(len(label)))
-	mac.Write(buf[:])
-	mac.Write([]byte(label))
-	binary.BigEndian.PutUint64(buf[:], counter)
-	mac.Write(buf[:])
-	var out [32]byte
-	mac.Sum(out[:0])
-	return out
+	return p.block(label, nil, counter)
+}
+
+// block is Block for the label prefix+string(suffix), without building
+// that string.
+func (p *PRF) block(prefix string, suffix []byte, counter uint64) [32]byte {
+	p.in = binary.BigEndian.AppendUint64(p.in[:0], uint64(len(prefix)+len(suffix)))
+	p.in = append(p.in, prefix...)
+	p.in = append(p.in, suffix...)
+	p.in = binary.BigEndian.AppendUint64(p.in, counter)
+	p.mac.Reset()
+	p.mac.Write(p.in)
+	p.mac.Sum(p.out[:0])
+	return p.out
 }
 
 // Uint64 returns a pseudo-random 64-bit value for (label, counter).
@@ -123,6 +136,22 @@ var ErrAuth = errors.New("wcrypto: message authentication failed")
 
 const macSize = 32
 
+// Sealer seals and opens frames under one key. It derives the keystream
+// and MAC keys once and keeps their HMAC state, so sealing a frame
+// allocates only the ciphertext. A Sealer is not safe for concurrent use.
+type Sealer struct {
+	enc    *PRF      // keystream PRF under DeriveKey(k, "enc")
+	mac    hash.Hash // HMAC-SHA256 under DeriveKey(k, "mac")
+	lenBuf [8]byte
+	tag    [macSize]byte
+}
+
+// NewSealer returns a Sealer for key k.
+func NewSealer(k Key) *Sealer {
+	macKey := DeriveKey(k, "mac")
+	return &Sealer{enc: NewPRF(DeriveKey(k, "enc")), mac: hmac.New(sha256.New, macKey[:])}
+}
+
 // Seal encrypts and authenticates plaintext under key k with the given
 // nonce (encrypt-then-MAC; keystream and MAC keys are domain-separated
 // derivations of k). The MAC binds the nonce/body boundary, so a receiver
@@ -130,53 +159,55 @@ const macSize = 32
 // decrypting garbage. Nonces must not repeat for the same key; the
 // protocols use (phase, epoch, round, sender) tuples.
 func Seal(k Key, nonce []byte, plaintext []byte) []byte {
-	encKey := DeriveKey(k, "enc")
-	macKey := DeriveKey(k, "mac")
-
-	ct := make([]byte, len(nonce)+len(plaintext)+macSize)
-	copy(ct, nonce)
-	body := ct[len(nonce) : len(nonce)+len(plaintext)]
-	xorKeystream(encKey, nonce, plaintext, body)
-
-	mac := hmac.New(sha256.New, macKey[:])
-	var lenBuf [8]byte
-	binary.BigEndian.PutUint64(lenBuf[:], uint64(len(nonce)))
-	mac.Write(lenBuf[:])
-	mac.Write(ct[:len(nonce)+len(plaintext)])
-	mac.Sum(ct[:len(nonce)+len(plaintext)])
-	return ct
+	return NewSealer(k).Seal(nonce, plaintext)
 }
 
 // Open authenticates and decrypts a ciphertext produced by Seal with a
 // nonce of the given length. It returns the recovered plaintext and nonce.
 func Open(k Key, nonceLen int, ciphertext []byte) (plaintext, nonce []byte, err error) {
+	return NewSealer(k).Open(nonceLen, ciphertext)
+}
+
+// Seal is the package-level Seal under the sealer's key.
+func (s *Sealer) Seal(nonce []byte, plaintext []byte) []byte {
+	ct := make([]byte, len(nonce)+len(plaintext)+macSize)
+	copy(ct, nonce)
+	bodyEnd := len(nonce) + len(plaintext)
+	s.xorKeystream(nonce, plaintext, ct[len(nonce):bodyEnd])
+	s.appendTag(ct[:bodyEnd], len(nonce), ct[:bodyEnd])
+	return ct
+}
+
+// Open is the package-level Open under the sealer's key.
+func (s *Sealer) Open(nonceLen int, ciphertext []byte) (plaintext, nonce []byte, err error) {
 	if len(ciphertext) < nonceLen+macSize {
 		return nil, nil, fmt.Errorf("%w: short ciphertext", ErrAuth)
 	}
-	macKey := DeriveKey(k, "mac")
 	bodyEnd := len(ciphertext) - macSize
-	mac := hmac.New(sha256.New, macKey[:])
-	var lenBuf [8]byte
-	binary.BigEndian.PutUint64(lenBuf[:], uint64(nonceLen))
-	mac.Write(lenBuf[:])
-	mac.Write(ciphertext[:bodyEnd])
-	if !hmac.Equal(mac.Sum(nil), ciphertext[bodyEnd:]) {
+	if !hmac.Equal(s.appendTag(s.tag[:0], nonceLen, ciphertext[:bodyEnd]), ciphertext[bodyEnd:]) {
 		return nil, nil, ErrAuth
 	}
 	nonce = append([]byte(nil), ciphertext[:nonceLen]...)
-	encKey := DeriveKey(k, "enc")
 	plaintext = make([]byte, bodyEnd-nonceLen)
-	xorKeystream(encKey, nonce, ciphertext[nonceLen:bodyEnd], plaintext)
+	s.xorKeystream(nonce, ciphertext[nonceLen:bodyEnd], plaintext)
 	return plaintext, nonce, nil
 }
 
-// xorKeystream XORs src with the PRF counter-mode keystream for
-// (key, nonce) into dst. len(dst) must equal len(src).
-func xorKeystream(k Key, nonce, src, dst []byte) {
-	prf := NewPRF(k)
-	label := "stream/" + string(nonce)
+// appendTag appends the MAC of a frame's nonce and body (msg, whose first
+// nonceLen bytes are the nonce) to dst.
+func (s *Sealer) appendTag(dst []byte, nonceLen int, msg []byte) []byte {
+	binary.BigEndian.PutUint64(s.lenBuf[:], uint64(nonceLen))
+	s.mac.Reset()
+	s.mac.Write(s.lenBuf[:])
+	s.mac.Write(msg)
+	return s.mac.Sum(dst)
+}
+
+// xorKeystream XORs src with the PRF counter-mode keystream for the nonce
+// into dst. len(dst) must equal len(src).
+func (s *Sealer) xorKeystream(nonce, src, dst []byte) {
 	for i := 0; i < len(src); i += 32 {
-		block := prf.Block(label, uint64(i/32))
+		block := s.enc.block("stream/", nonce, uint64(i/32))
 		n := len(src) - i
 		if n > 32 {
 			n = 32

@@ -2,6 +2,8 @@ package wcrypto
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math/big"
 	"math/rand"
@@ -332,5 +334,137 @@ func TestKeySizesAndGroupBits(t *testing.T) {
 	}
 	if Group1024.P.BitLen() != 1024 {
 		t.Fatalf("modp1024 group has %d bits", Group1024.P.BitLen())
+	}
+}
+
+// Known answers, computed before the PRF and the sealer kept their HMAC
+// state across calls: the reuse must not change a single output byte.
+var (
+	katKey   = KeyFromBytes("kat", []byte("known-answer"))
+	katNonce = []byte("0123456789abcdef")
+	katPRF   = []struct {
+		label   string
+		counter uint64
+		block   string
+	}{
+		{"hop", 0, "d7b5713323c71af81178f4cef8e3b972c0f9bc646fa05985dfb3fdfc1827960e"},
+		{"hop", 1, "985c2486a7487882c5114081ac2e6f41fbc344150493b34490a139efebd025d2"},
+		{"stream/nonce-01", 7, "4061166965711ad72f0fcfe5702b42805768d4a58f442ee8440f0c1fcf0e5c5c"},
+		{"", 1 << 40, "a82d44f4ef5676e686083d8e00a881724fd0c9b1c34978f547f3ac958ddc3c8a"},
+	}
+	// One byte per round: Hopper.Channel for rounds 0..63 under
+	// NewHopper(katKey, "longlived", c).
+	katHops = []struct {
+		c    int
+		hops string
+	}{
+		{3, "00010101010002020000020202000101000200000100010102020001000001010001020102000202010200010001000002000001020101010201010000020102"},
+		{72, "0c192e163a1e081d2a09412c0e3616190047243c310925073217030112061319182238133b032c4743263c0d3c431b21411e24373e07312b0e101f2103441026"},
+	}
+	// Seal(katKey, katNonce, plaintext): empty, one block and three blocks.
+	katSeal = []struct {
+		plaintext  string
+		ciphertext string
+	}{
+		{"", "303132333435363738396162636465660b9e1a8227088448784cba07aa9518ae686b98983b13d7fbd5e556d4255d3f03"},
+		{"one block of plaintext", "303132333435363738396162636465660f077500c8e5e8f76fb06b2e59cdcdd287569cc041067bf9bbbb90ab785726b030d596cceb777d72251cd33620feede820b28ae21f2e"},
+		{"three blocks of plaintext: the quick brown fox jumps over the lazy dog.", "3031323334353637383961626364656614016245cfa9e5f86bf36f3b59d2c7939e5489cc57062a2b46c77ec5ef2a0b30743d9e18745d263c26471974a8dc658875b16d5f7303b64f309c415c4e1ba08b647ab60dd7aeceb50321008b7946f15dd1cd4d3a2e51bbb954f4561fc5184e9da17c7d35bb6d11"},
+	}
+)
+
+func TestPRFBlockKnownAnswers(t *testing.T) {
+	p := NewPRF(katKey)
+	for _, tc := range katPRF {
+		got := p.Block(tc.label, tc.counter)
+		if hex.EncodeToString(got[:]) != tc.block {
+			t.Errorf("Block(%q, %d) = %x, want %s", tc.label, tc.counter, got, tc.block)
+		}
+	}
+}
+
+func TestHopperKnownAnswers(t *testing.T) {
+	for _, tc := range katHops {
+		h := NewHopper(katKey, "longlived", tc.c)
+		got := make([]byte, 64)
+		for r := range got {
+			got[r] = byte(h.Channel(uint64(r)))
+		}
+		if hex.EncodeToString(got) != tc.hops {
+			t.Errorf("c=%d: hops %x, want %s", tc.c, got, tc.hops)
+		}
+	}
+}
+
+func TestSealKnownAnswers(t *testing.T) {
+	for _, tc := range katSeal {
+		if got := Seal(katKey, katNonce, []byte(tc.plaintext)); hex.EncodeToString(got) != tc.ciphertext {
+			t.Errorf("Seal(%q) = %x, want %s", tc.plaintext, got, tc.ciphertext)
+		}
+	}
+}
+
+func TestOpenKnownAnswers(t *testing.T) {
+	for _, tc := range katSeal {
+		ct, err := hex.DecodeString(tc.ciphertext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt, nonce, err := Open(katKey, len(katNonce), ct)
+		if err != nil {
+			t.Fatalf("Open(%s): %v", tc.ciphertext, err)
+		}
+		if string(pt) != tc.plaintext || !bytes.Equal(nonce, katNonce) {
+			t.Errorf("Open(%s) = (%q, %q), want (%q, %q)", tc.ciphertext, pt, nonce, tc.plaintext, katNonce)
+		}
+	}
+}
+
+// TestSealerReuseMatchesFreshSeal: one sealer reused across 100 frames of
+// varying nonces and lengths seals and opens exactly as fresh calls do.
+func TestSealerReuseMatchesFreshSeal(t *testing.T) {
+	s := NewSealer(katKey)
+	rng := rand.New(rand.NewSource(100))
+	for i := 0; i < 100; i++ {
+		nonce := make([]byte, 16)
+		binary.BigEndian.PutUint64(nonce[:8], uint64(i))
+		binary.BigEndian.PutUint64(nonce[8:], uint64(rng.Intn(20)))
+		pt := make([]byte, rng.Intn(100))
+		rng.Read(pt)
+		got, want := s.Seal(nonce, pt), Seal(katKey, nonce, pt)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("frame %d: reused sealer %x, fresh Seal %x", i, got, want)
+		}
+		body, gotNonce, err := s.Open(len(nonce), got)
+		if err != nil || !bytes.Equal(body, pt) || !bytes.Equal(gotNonce, nonce) {
+			t.Fatalf("frame %d: reused sealer failed to open its frame: %v", i, err)
+		}
+		if _, _, err := s.Open(len(nonce), append(got[:len(got)-1:len(got)-1], got[len(got)-1]^1)); !errors.Is(err, ErrAuth) {
+			t.Fatalf("frame %d: reused sealer accepted a forged tag", i)
+		}
+	}
+}
+
+// TestCryptoAllocations pins the steady-state allocations of the keyed
+// hot paths: none for a PRF block or a hop, one (the ciphertext) per
+// sealed frame.
+func TestCryptoAllocations(t *testing.T) {
+	p := NewPRF(katKey)
+	h := NewHopper(katKey, "longlived", 72)
+	s := NewSealer(katKey)
+	pt := make([]byte, 100)
+	round := uint64(0)
+	cases := []struct {
+		name string
+		want float64
+		f    func()
+	}{
+		{"PRF.Block", 0, func() { p.Block("stream/nonce", round) }},
+		{"Hopper.Channel", 0, func() { h.Channel(round) }},
+		{"Sealer.Seal", 1, func() { s.Seal(katNonce, pt) }},
+	}
+	for _, tc := range cases {
+		if got := testing.AllocsPerRun(100, func() { tc.f(); round++ }); got != tc.want {
+			t.Errorf("%s: %v allocs per call, want %v", tc.name, got, tc.want)
+		}
 	}
 }
