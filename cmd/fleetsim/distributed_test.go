@@ -42,7 +42,7 @@ func TestMain(m *testing.M) {
 }
 
 // distributedSweepArgs is the shared grid for the equivalence tests: a
-// 2x2 grid, cheap enough to run seven times.
+// 2x2 grid, cheap enough to run four times.
 func distributedSweepArgs(extra ...string) []string {
 	args := []string{"sweep", "-base", "fame-clear", "-n", "20,24", "-t", "0,1",
 		"-runs", "3", "-seed", "9", "-format", "json"}
@@ -51,10 +51,7 @@ func distributedSweepArgs(extra ...string) []string {
 
 // TestSweepDistributedMatchesInProcess is the CLI acceptance criterion
 // for the fabric: -workers-exec self must emit byte-identical JSON to
-// the in-process executor for 1, 2 and 4 subprocess workers, in both
-// worker drive modes (GOMAXPROCS=1 flips the workers' radio engines to
-// the pump scheduler; the coordinator process is unaffected because the
-// Go runtime reads the variable at startup).
+// the in-process executor for 1, 2 and 4 subprocess workers.
 func TestSweepDistributedMatchesInProcess(t *testing.T) {
 	dir := t.TempDir()
 	ref := filepath.Join(dir, "ref.json")
@@ -65,30 +62,21 @@ func TestSweepDistributedMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, gomaxprocs := range []string{"", "1"} {
-		for _, workers := range []string{"1", "2", "4"} {
-			name := "workers=" + workers
-			if gomaxprocs != "" {
-				name += ",pump"
+	for _, workers := range []string{"1", "2", "4"} {
+		t.Run("workers="+workers, func(t *testing.T) {
+			out := filepath.Join(dir, "out-"+workers+".json")
+			args := distributedSweepArgs("-workers-exec", "self", "-workers", workers, "-out", out)
+			if err := run(context.Background(), args, new(bytes.Buffer)); err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				if gomaxprocs != "" {
-					t.Setenv("GOMAXPROCS", gomaxprocs)
-				}
-				out := filepath.Join(dir, "out-"+strings.ReplaceAll(name, ",", "-")+".json")
-				args := distributedSweepArgs("-workers-exec", "self", "-workers", workers, "-out", out)
-				if err := run(context.Background(), args, new(bytes.Buffer)); err != nil {
-					t.Fatal(err)
-				}
-				got, err := os.ReadFile(out)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("distributed sweep JSON differs from in-process JSON:\n--- distributed ---\n%s\n--- in-process ---\n%s", got, want)
-				}
-			})
-		}
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("distributed sweep JSON differs from in-process JSON:\n--- distributed ---\n%s\n--- in-process ---\n%s", got, want)
+			}
+		})
 	}
 }
 

@@ -41,9 +41,9 @@
 // two-state Gilbert-Elliott burst-loss model (LossModel, optionally
 // correlated across channels) destroys deliveries in bursts. Fault
 // schedules derive from the run seed on an independent substream, so
-// faulted runs are exactly as reproducible as clean ones — across both
-// engine drive modes and any sweep topology — and a disabled profile is
-// a provable no-op. Degradation is surfaced, never masked: reports
+// faulted runs are exactly as reproducible as clean ones — across worker
+// counts and any sweep topology — and a disabled profile is a provable
+// no-op. Degradation is surfaced, never masked: reports
 // carry FaultDrops / NodesLost / DegradedRounds, RoundEvent carries
 // per-round churn and loss activity, and churn past the n-t quorum
 // fails with the typed ErrSetupFailed / ErrNoQuorum rather than

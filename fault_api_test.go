@@ -2,8 +2,8 @@ package securadio
 
 // Public fault-injection surface suite: WithFaults must degrade every
 // protocol layer gracefully (within the model's quorum), fail with the
-// typed quorum errors past it, stay bit-reproducible across engine drive
-// modes, and be a provable no-op when disabled.
+// typed quorum errors past it, stay bit-reproducible across reruns, and
+// be a provable no-op when disabled.
 
 import (
 	"context"
@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-
-	"securadio/internal/radio"
 )
 
 // churnProfile is a within-quorum churn load for a 20-node network:
@@ -126,15 +124,13 @@ func TestWithFaultsRejectsBadProfile(t *testing.T) {
 	}
 }
 
-// TestFaultedObserverEquivalence replays a faulted run under both engine
-// drive modes and demands a byte-identical public event stream, fault
-// fields included — the drive-mode equivalence guarantee extended to the
-// fault layer. It also checks that the fault fields actually fire.
+// TestFaultedObserverEquivalence replays a faulted run and demands a
+// byte-identical public event stream, fault fields included — the
+// determinism guarantee extended to the fault layer. It also checks that
+// the fault fields actually fire.
 func TestFaultedObserverEquivalence(t *testing.T) {
 	profile := NewFaultProfile(0.2, 0.08)
-	digest := func(mode int32) (string, int) {
-		restore := radio.ForceSchedulerMode(mode)
-		defer restore()
+	digest := func() (string, int) {
 		d := &digestingObserver{h: sha256.New()}
 		drops := 0
 		probe := ObserverFunc(func(ev *RoundEvent) {
@@ -154,18 +150,11 @@ func TestFaultedObserverEquivalence(t *testing.T) {
 		}
 		return hex.EncodeToString(d.h.Sum(nil)), drops
 	}
-	var want string
-	for name, mode := range radio.SchedulerModes {
-		got, drops := digest(mode)
-		if drops == 0 {
-			t.Fatalf("%s: fault fields never reached the observer", name)
-		}
-		if want == "" {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Fatalf("faulted event stream diverged across drive modes: %s vs %s", got, want)
-		}
+	want, drops := digest()
+	if drops == 0 {
+		t.Fatal("fault fields never reached the observer")
+	}
+	if got, _ := digest(); got != want {
+		t.Fatalf("faulted event stream diverged on a rerun: %s vs %s", got, want)
 	}
 }

@@ -18,8 +18,8 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		{"jam", RadioSteadyStateJam},
 		{"faulted", RadioSteadyStateFaulted},
 		// The wide cells assert the same budget past 64 channels, where
-		// the adversary clip and the fault masks switch to their pooled
-		// multi-word bitset paths.
+		// the adversary clip and the fault masks use several words of
+		// their pooled bitsets.
 		{"jam-wide", RadioSteadyStateJamWide},
 		{"faulted-wide", RadioSteadyStateFaultedWide},
 	} {

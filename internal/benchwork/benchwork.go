@@ -83,9 +83,9 @@ func RadioSteadyStateFaulted(b *testing.B) {
 }
 
 // RadioSteadyStateJamWide is RadioSteadyStateJam on a C=512 spectrum:
-// the adversary clip takes the wide (bitset scratch) path instead of the
-// single-register one, and the engine's touched-channel bookkeeping runs
-// with random traffic scattered across hundreds of mostly-idle channels.
+// the adversary clip's bitset scratch spans eight words instead of one,
+// and the engine's touched-channel bookkeeping runs with random traffic
+// scattered across hundreds of mostly-idle channels.
 // Like every steady-state cell it must hold 0 allocs/op.
 func RadioSteadyStateJamWide(b *testing.B) {
 	const n, c, t = 32, 512, 8

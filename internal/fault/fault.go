@@ -24,7 +24,7 @@
 // and the per-round random consumption is fixed (one transition draw per
 // fade state plus one drop draw per channel) regardless of traffic — so
 // a Plan's schedule is a pure function of (Profile, N, C, seed), identical
-// across drive modes, worker counts and process topologies.
+// across worker counts and process topologies.
 //
 // A Plan is bound to one radio run at a time: the engine resets its
 // runtime state at run start and owns it until the run completes.

@@ -6,8 +6,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"securadio/internal/radio"
 )
 
 func TestCoarseValues(t *testing.T) {
@@ -191,7 +189,7 @@ func TestAdaptiveSweepLocatesDropOnCAxis(t *testing.T) {
 }
 
 // TestAdaptiveDeterminism: the JSON report must be byte-identical across
-// worker counts and across both radio drive modes.
+// worker counts.
 func TestAdaptiveDeterminism(t *testing.T) {
 	s := AdaptiveSweep{
 		Base: fastScenario(), Axis: AxisC,
@@ -199,32 +197,21 @@ func TestAdaptiveDeterminism(t *testing.T) {
 		Runs: 6, Seed: 9,
 	}
 	var blobs [][]byte
-	var labels []string
-	for mode, force := range radio.SchedulerModes {
-		restore := radio.ForceSchedulerMode(force)
-		for _, workers := range []int{1, 8} {
-			run := s
-			run.Workers = workers
-			res, err := RunAdaptiveSweep(context.Background(), run)
-			if err != nil {
-				restore()
-				t.Fatalf("%s workers=%d: %v", mode, workers, err)
-			}
-			blob, err := res.MarshalIndent()
-			if err != nil {
-				restore()
-				t.Fatal(err)
-			}
-			blobs = append(blobs, blob)
-			labels = append(labels, mode)
+	for _, workers := range []int{1, 8} {
+		run := s
+		run.Workers = workers
+		res, err := RunAdaptiveSweep(context.Background(), run)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		restore()
+		blob, err := res.MarshalIndent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs = append(blobs, blob)
 	}
-	for i := 1; i < len(blobs); i++ {
-		if !bytes.Equal(blobs[0], blobs[i]) {
-			t.Fatalf("adaptive JSON differs between %s and %s:\n%s\nvs\n%s",
-				labels[0], labels[i], blobs[0], blobs[i])
-		}
+	if !bytes.Equal(blobs[0], blobs[1]) {
+		t.Fatalf("adaptive JSON differs between workers=1 and workers=8:\n%s\nvs\n%s", blobs[0], blobs[1])
 	}
 }
 

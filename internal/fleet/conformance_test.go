@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"securadio/internal/radio"
 	"securadio/internal/transport/udp"
 )
 
@@ -37,10 +36,10 @@ func conformanceResult(r RunResult) string {
 }
 
 // TestCrossTransportConformance is the headline suite of the transport
-// seam: every protocol layer, driven in both scheduler modes, must
-// produce the exact RunResult over loopback UDP that it produces in
-// memory — same schema, same values, for the same seed. A lossless
-// transport is an implementation detail the protocols cannot observe.
+// seam: every protocol layer must produce the exact RunResult over
+// loopback UDP that it produces in memory — same schema, same values, for
+// the same seed. A lossless transport is an implementation detail the
+// protocols cannot observe.
 func TestCrossTransportConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binds sockets per cell")
@@ -59,23 +58,19 @@ func TestCrossTransportConformance(t *testing.T) {
 			}
 
 			baseline := conformanceResult(scen.Execute(ctx, 0, seed))
-			for modeName, mode := range radio.SchedulerModes {
-				for _, transport := range []string{"mem", "udp"} {
-					cell := scen
-					if transport == "udp" {
-						tr, err := udp.New(udp.Config{})
-						if err != nil {
-							t.Fatal(err)
-						}
-						cell.Transport = tr
+			for _, transport := range []string{"mem", "udp"} {
+				cell := scen
+				if transport == "udp" {
+					tr, err := udp.New(udp.Config{})
+					if err != nil {
+						t.Fatal(err)
 					}
-					restore := radio.ForceSchedulerMode(mode)
-					got := conformanceResult(cell.Execute(ctx, 0, seed))
-					restore()
-					if got != baseline {
-						t.Errorf("%s/%s diverged from baseline:\n  baseline: %s\n  got:      %s",
-							transport, modeName, baseline, got)
-					}
+					cell.Transport = tr
+				}
+				got := conformanceResult(cell.Execute(ctx, 0, seed))
+				if got != baseline {
+					t.Errorf("%s diverged from baseline:\n  baseline: %s\n  got:      %s",
+						transport, baseline, got)
 				}
 			}
 		})

@@ -14,7 +14,6 @@ import (
 
 	"securadio/internal/fleet"
 	"securadio/internal/fleet/fabric"
-	"securadio/internal/radio"
 )
 
 // testSweep is a cheap 2x2 grid over the clear-spectrum scenario.
@@ -107,28 +106,24 @@ func TestLocalFabricMatchesInProcess(t *testing.T) {
 	}
 }
 
-func TestStreamFabricMatchesAcrossWorkersAndModes(t *testing.T) {
+func TestStreamFabricMatchesAcrossWorkers(t *testing.T) {
 	want := referenceSweepJSON(t)
-	for mode, force := range radio.SchedulerModes {
-		restore := radio.ForceSchedulerMode(force)
-		for _, workers := range []int{1, 2, 4} {
-			co := fabric.New(fabric.Config{})
-			attachStreamWorkers(t, co, workers)
-			res, err := co.RunSweep(context.Background(), testSweep())
-			if err != nil {
-				co.Close()
-				t.Fatalf("mode %s workers %d: %v", mode, workers, err)
-			}
-			got, merr := res.MarshalIndent()
+	for _, workers := range []int{1, 2, 4} {
+		co := fabric.New(fabric.Config{})
+		attachStreamWorkers(t, co, workers)
+		res, err := co.RunSweep(context.Background(), testSweep())
+		if err != nil {
 			co.Close()
-			if merr != nil {
-				t.Fatal(merr)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("mode %s, %d stream workers: bytes differ from in-process run", mode, workers)
-			}
+			t.Fatalf("workers %d: %v", workers, err)
 		}
-		restore()
+		got, merr := res.MarshalIndent()
+		co.Close()
+		if merr != nil {
+			t.Fatal(merr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d stream workers: bytes differ from in-process run", workers)
+		}
 	}
 }
 

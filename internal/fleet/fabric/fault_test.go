@@ -2,8 +2,8 @@ package fabric_test
 
 // Fault determinism across the fabric: a sweep over both fault families
 // (churn and Gilbert-Elliott loss) must produce byte-identical JSON for
-// every worker count, engine drive mode, and transport — in-process
-// executor, wire-protocol stream workers, and real subprocess workers.
+// every worker count and transport — in-process executor, wire-protocol
+// stream workers, and real subprocess workers.
 // Fault schedules derive from each cell's seed, never from which worker
 // runs the cell, so this is the same equivalence the fault-free suite
 // pins, extended to degraded runs.
@@ -16,7 +16,6 @@ import (
 
 	"securadio/internal/fleet"
 	"securadio/internal/fleet/fabric"
-	"securadio/internal/radio"
 )
 
 // TestMain lets the test binary double as a protocol worker: AttachExec
@@ -24,19 +23,13 @@ import (
 // determinism matrix without depending on a built fleetsim binary.
 func TestMain(m *testing.M) {
 	if os.Getenv(fabricWorkerEnv) == "1" {
-		if force, ok := radio.SchedulerModes[os.Getenv(fabricWorkerModeEnv)]; ok {
-			radio.ForceSchedulerMode(force)
-		}
 		fabric.ServeWorker(context.Background(), os.Stdin, os.Stdout)
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
 }
 
-const (
-	fabricWorkerEnv     = "SECURADIO_FABRIC_TEST_WORKER"
-	fabricWorkerModeEnv = "SECURADIO_FABRIC_TEST_MODE"
-)
+const fabricWorkerEnv = "SECURADIO_FABRIC_TEST_WORKER"
 
 // faultSweep crosses both fault axes over the clear-spectrum scenario:
 // a 2x2 grid with a fault-free corner and a churn+loss corner.
@@ -74,26 +67,22 @@ func referenceFaultJSON(t *testing.T) []byte {
 
 func TestFaultSweepDeterministicAcrossStreamFabric(t *testing.T) {
 	want := referenceFaultJSON(t)
-	for mode, force := range radio.SchedulerModes {
-		restore := radio.ForceSchedulerMode(force)
-		for _, workers := range []int{1, 8} {
-			co := fabric.New(fabric.Config{})
-			attachStreamWorkers(t, co, workers)
-			res, err := co.RunSweep(context.Background(), faultSweep())
-			if err != nil {
-				co.Close()
-				t.Fatalf("mode %s workers %d: %v", mode, workers, err)
-			}
-			got, merr := res.MarshalIndent()
+	for _, workers := range []int{1, 8} {
+		co := fabric.New(fabric.Config{})
+		attachStreamWorkers(t, co, workers)
+		res, err := co.RunSweep(context.Background(), faultSweep())
+		if err != nil {
 			co.Close()
-			if merr != nil {
-				t.Fatal(merr)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("mode %s, %d stream workers: faulted sweep bytes differ from in-process run", mode, workers)
-			}
+			t.Fatalf("workers %d: %v", workers, err)
 		}
-		restore()
+		got, merr := res.MarshalIndent()
+		co.Close()
+		if merr != nil {
+			t.Fatal(merr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d stream workers: faulted sweep bytes differ from in-process run", workers)
+		}
 	}
 }
 
@@ -106,26 +95,23 @@ func TestFaultSweepDeterministicAcrossExecFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for mode := range radio.SchedulerModes {
-		t.Setenv(fabricWorkerEnv, "1")
-		t.Setenv(fabricWorkerModeEnv, mode)
-		co := fabric.New(fabric.Config{})
-		if err := co.AttachExec([]string{exe}, 2); err != nil {
-			co.Close()
-			t.Fatal(err)
-		}
-		res, err := co.RunSweep(context.Background(), faultSweep())
-		if err != nil {
-			co.Close()
-			t.Fatalf("mode %s: %v", mode, err)
-		}
-		got, merr := res.MarshalIndent()
+	t.Setenv(fabricWorkerEnv, "1")
+	co := fabric.New(fabric.Config{})
+	if err := co.AttachExec([]string{exe}, 2); err != nil {
 		co.Close()
-		if merr != nil {
-			t.Fatal(merr)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("mode %s: subprocess-fabric faulted sweep bytes differ from in-process run", mode)
-		}
+		t.Fatal(err)
+	}
+	res, err := co.RunSweep(context.Background(), faultSweep())
+	if err != nil {
+		co.Close()
+		t.Fatal(err)
+	}
+	got, merr := res.MarshalIndent()
+	co.Close()
+	if merr != nil {
+		t.Fatal(merr)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("subprocess-fabric faulted sweep bytes differ from in-process run")
 	}
 }

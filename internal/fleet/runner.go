@@ -45,10 +45,10 @@ type RunHooks struct {
 //   - a run that panics on the worker goroutine (adversary construction,
 //     pair generation, parameter validation, outcome assembly) is
 //     isolated: the panic is recovered and recorded as a failed run, and
-//     the campaign keeps going. Panics raised inside the simulation's own
-//     node goroutines are outside this boundary — the radio engine
-//     re-raises them and they crash the process, exactly as they would in
-//     a single-run invocation;
+//     the campaign keeps going. Panics raised inside a node program (a
+//     radio Process) are outside this boundary — the radio engine
+//     re-raises them on a fresh goroutine and they crash the process,
+//     exactly as they would in a single-run invocation;
 //   - cancelling ctx stops dispatching new runs AND aborts the in-flight
 //     simulations at their next round boundary (the context reaches the
 //     radio engine itself). Aborted partial runs never enter the

@@ -23,21 +23,25 @@
 //
 // # Scheduler
 //
-// The engine keeps all nodes in lock-step with a generation-counted round
-// barrier rather than per-node channel rendezvous. Its synchronization
-// contract, per round:
+// The model is a synchronous round in which every node takes exactly one
+// action, and the engine has one drive to match, the pump. Every node
+// Process runs as a coroutine, and each round proceeds as follows:
 //
-//   - every live node writes its committed NodeAction into its private
-//     slot of a shared actions table and arrives at the barrier with a
-//     single atomic increment;
-//   - the arrival that completes the round resolves it: actions are
-//     collected in node-ID order (which makes every execution a pure
+//   - the engine resumes every live node in ID order; each writes its
+//     committed NodeAction into its private slot of a shared actions table
+//     and suspends;
+//   - the engine then resolves the round on Run's own goroutine: actions
+//     are collected in node-ID order (which makes every execution a pure
 //     function of Config.Seed), the adversary's clipped transmissions are
 //     merged in, collision semantics produce the per-channel deliveries,
 //     and the adversary and any Trace hook observe the round;
-//   - the resolved generation is then published and all nodes resume,
-//     each reading its own delivery directly from the per-channel slots,
-//     which stay stable until every node has arrived for the next round.
+//   - when the engine next resumes a node, it reads its own delivery
+//     directly from the per-channel slots, which stay stable until the
+//     next round resolves.
+//
+// Node programs therefore run one at a time, with no locks and no
+// goroutine parking, and a run uses one core at any GOMAXPROCS; callers
+// that want parallelism run several runs at once.
 //
 // Resolution is sparse, so the large regime (N in the thousands, C in
 // the hundreds) is first-class:
@@ -46,36 +50,29 @@
 //     this round; delivery, fault drops and the per-channel clear all
 //     iterate that list, making the channel phases O(active
 //     transmissions) rather than O(C). The clear is deferred to the
-//     start of the NEXT round's resolution because followers read their
-//     delivery slots after the generation publish;
+//     start of the NEXT round's resolution because nodes read their
+//     delivery slots after the round resolves;
 //   - a live-node roster, compacted in place as nodes finish (stable, so
 //     ascending-ID iteration order is preserved), keeps the per-round
 //     action scan proportional to nodes still running. A node downed by
 //     fault churn stays on the roster — down is not done;
-//   - channel masks past 64 channels (adversary budget clipping, the
-//     fault layer's down/fade/drop masks, RoundObservation) are
-//     multi-word bitsets (internal/bitset) pooled with the rest of the
-//     engine scratch, so crossing the 64-channel boundary changes
-//     neither semantics nor the allocation budget.
+//   - channel masks (adversary budget clipping, the fault layer's
+//     down/fade/drop masks, RoundObservation) are multi-word bitsets
+//     (internal/bitset) pooled with the rest of the engine scratch, so
+//     crossing the 64-channel boundary changes neither semantics nor the
+//     allocation budget.
 //
-// The barrier has two drive modes with byte-identical observable behavior
-// (the golden equivalence suite pins both against the seed engine's
-// traces). On a multi-core runtime, node Processes run on goroutines that
-// park on the barrier and the last arrival leads the resolution. On a
-// single-P runtime (GOMAXPROCS=1), where goroutine parking only buys
-// scheduler overhead, Processes run as coroutines resumed in ID order
-// from Run's own goroutine — no parking at all. Both drive modes share
-// the same resolution core. The steady-state round loop performs zero
-// heap allocations in either mode on both sides of the 64-channel
-// boundary, and engine scratch (slots, buffers, touched list, roster,
-// per-node RNG state) is recycled across runs, so campaign-scale callers
-// do not churn the GC.
+// The golden equivalence suite pins the engine's traces against the seed
+// engine's. The steady-state round loop performs zero heap allocations on
+// both sides of the 64-channel boundary, and engine scratch (slots,
+// buffers, touched list, roster, per-node RNG state) is recycled across
+// runs, so campaign-scale callers do not churn the GC.
 //
 // Teardown is uniform: aborts (round budget, invalid actions, checkpoint
 // violations) unwind every node and Run never leaks goroutines. Panics in
 // adversary or Trace callbacks propagate to Run's caller; panics in node
 // Processes crash the process, exactly as when each node owned a
-// goroutine.
+// goroutine in the seed engine.
 //
 // # Transports
 //

@@ -5,56 +5,31 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"securadio/internal/bitset"
 	"securadio/internal/fault"
 )
 
-// abortSignal is thrown (via panic) inside node goroutines when the engine
-// tears a run down early; the node runner recovers it.
+// abortSignal is thrown (via panic) inside a node coroutine when the
+// engine tears a run down early; stopNode absorbs it.
 type abortSignal struct{}
 
-// engine is the shared state of one run: a generation-counted round
-// barrier plus the per-node action slots and per-channel delivery slots
-// the barrier orders access to.
+// engine is the shared state of one run: the per-node action slots, the
+// per-channel delivery slots and the resolution state the pump drives.
 //
-// Synchronization contract (one barrier round-trip per node per round — a
-// fraction of the seed scheduler's four channel operations per node):
+// Each round, the pump (pump.go) resumes every live node's coroutine in ID
+// order until the node writes its next NodeAction into actions[id], its
+// private slot; resolveCommitted then resolves the round on the Run
+// caller's goroutine: it collects the committed actions in ID order,
+// merges in the adversary's transmissions, resolves collision semantics
+// into delivered and lets the adversary and tracer observe. Each node
+// reads its own delivery from the channel slots when the pump next
+// resumes it.
 //
-//  1. each live node writes its NodeAction into actions[id] — its private
-//     slot — and arrives at the barrier (one atomic increment);
-//  2. every arrival except the last parks on the barrier's condition
-//     variable; the arrival that makes the counter reach needed (the
-//     live-node count) becomes the round's LEADER and resolves the round
-//     inline: it collects the committed actions in ID order, merges in
-//     the adversary's transmissions, resolves collision semantics into
-//     delivered, lets the adversary and tracer observe, re-arms the
-//     barrier, publishes the new resolved-round generation and wakes the
-//     followers with a single broadcast;
-//  3. each woken node (and the leader itself) checks the generation: if
-//     its round resolved it reads its delivery directly from delivered —
-//     the slots are stable until every live node has arrived again — and
-//     continues; an unchanged generation means teardown, and the node
-//     unwinds via abortSignal, so Run never leaks goroutines.
-//
-// There is no scheduler goroutine: Run's caller simply waits for the node
-// goroutines. Every round is resolved by exactly one leader, and all
-// resolution state (result counters, liveness bookkeeping, scratch
-// buffers) is handed off leader-to-leader through the barrier, so the
-// resolution logic itself is single-threaded and deterministic — ID-order
-// collection makes the execution a pure function of Config.Seed no matter
-// which goroutine happens to lead a round.
-//
-// A panic raised by adversary or trace callbacks during resolution is
-// recovered on the leader, the run is torn down (no goroutine leaks), and
-// the original panic value is re-raised on the Run caller's goroutine,
-// preserving the seed engine's caller-visible panic contract.
-//
-// The atomic arrival counter orders every node's slot write before the
-// leader's reads, and the generation publication orders the leader's
-// writes before the followers' reads, so the slots themselves need no
-// locks and the steady-state round loop performs no allocation at all.
+// Exactly one of the run's coroutines executes at a time, so the slots
+// need no locks, resolution is single-threaded, every execution is a pure
+// function of Config.Seed, and the steady-state round loop performs no
+// allocation at all.
 type engine struct {
 	cfg       Config
 	adv       Adversary
@@ -75,21 +50,10 @@ type engine struct {
 	ctx     context.Context
 	ctxDone <-chan struct{}
 
-	// Barrier state. gen is mutated only while holding mu but is atomic
-	// so the leader's post-resolution check can read it without the lock.
-	arrived atomic.Int32 // arrivals this round
-	needed  atomic.Int32 // live-node count; updated only by the leader
-	gen     atomic.Int64 // resolved-round count; gen > r means round r delivered
-	mu      sync.Mutex
-	cond    sync.Cond
-	abort   bool // set during teardown; guarded by mu
-
-	// Resolution state, owned by the current round's leader.
-	round       int
-	res         Result
-	err         error
-	finished    bool
-	leaderPanic any // panic recovered from adversary/trace code, re-raised by Run
+	// Resolution state.
+	round int
+	res   Result
+	err   error
 
 	// Per-node and per-channel slots.
 	//
@@ -104,8 +68,8 @@ type engine struct {
 	// touched lists the channels the CURRENT resolved round wrote
 	// (delivered/transmitters/fromAdversary). The slots it names are
 	// cleared lazily at the start of the NEXT round's resolution — they
-	// must survive the inter-round window because followers read their
-	// deliveries from the slots after the leader publishes the generation.
+	// must survive the inter-round window because each node reads its
+	// delivery from the slots when the pump next resumes it.
 	// All other channel slots hold their zero value as an invariant, so
 	// phases 1–3 cost O(active transmissions), not O(C).
 	actions       []NodeAction
@@ -115,7 +79,7 @@ type engine struct {
 	fromAdversary []bool
 	touched       []int32
 	advClip       []Transmission
-	usedWide      bitset.Set // C > 64 fallback scratch for clipAdversary
+	advUsed       bitset.Set // clipAdversary's channel de-duplication scratch
 
 	// Transport state (Config.Transport != nil): the run's bound Conn,
 	// the per-round wire buffer the committed transmissions are staged
@@ -132,7 +96,7 @@ type engine struct {
 	obsFaded    bitset.Set
 	xRoundDrops int
 
-	// Pump-mode state (see pump.go).
+	// Pump state (see pump.go).
 	exited   []bool // coroutine has returned
 	pumpNext []func() (struct{}, bool)
 	pumpStop []func()
@@ -185,11 +149,11 @@ func newEngine(cfg *Config, adv Adversary, maxRounds int) *engine {
 		eng.advClip = make([]Transmission, 0, cfg.T)
 	}
 	eng.advClip = eng.advClip[:0]
-	if w := bitset.Words(cfg.C); cap(eng.usedWide) >= w {
-		eng.usedWide = eng.usedWide[:w]
-		eng.usedWide.ClearAll()
+	if w := bitset.Words(cfg.C); cap(eng.advUsed) >= w {
+		eng.advUsed = eng.advUsed[:w]
+		eng.advUsed.ClearAll()
 	} else {
-		eng.usedWide = nil // re-made on demand by clipAdversary's wide path
+		eng.advUsed = nil // re-made on demand by clipAdversary
 	}
 	eng.xconn = nil // bound by RunContext after Open
 	eng.xRoundDrops = 0
@@ -199,18 +163,9 @@ func newEngine(cfg *Config, adv Adversary, maxRounds int) *engine {
 		eng.xFaded = bitset.Sized(eng.xFaded, cfg.C)
 	}
 
-	if eng.cond.L == nil {
-		eng.cond.L = &eng.mu
-	}
-	eng.abort = false
 	eng.round = 0
 	eng.res = Result{}
 	eng.err = nil
-	eng.finished = false
-	eng.leaderPanic = nil
-	eng.gen.Store(0)
-	eng.arrived.Store(0)
-	eng.needed.Store(int32(cfg.N))
 
 	if cap(eng.envs) < cfg.N {
 		eng.envs = make([]env, cfg.N)
@@ -221,7 +176,6 @@ func newEngine(cfg *Config, adv Adversary, maxRounds int) *engine {
 		e.id = i
 		e.eng = eng
 		e.round = 0
-		e.yield = nil
 		if e.rng == nil {
 			e.rng = rand.New(newFastSource(deriveSeed(cfg.Seed, uint64(i))))
 		} else {
@@ -239,13 +193,12 @@ func (eng *engine) recycle() {
 	eng.flt, eng.faulty = nil, false
 	eng.ctx, eng.ctxDone = nil, nil
 	eng.err = nil
-	eng.leaderPanic = nil
 	clear(eng.actions)
 	clear(eng.delivered)
 	clear(eng.pumpNext)
 	clear(eng.pumpStop)
 	for i := range eng.envs {
-		eng.envs[i].yield = nil // drop coroutine/Process references held via pump yields
+		eng.envs[i].yield = nil // drop coroutine/Process references held via yields
 	}
 	eng.advClip = eng.advClip[:cap(eng.advClip)]
 	clear(eng.advClip)
@@ -258,15 +211,14 @@ func (eng *engine) recycle() {
 }
 
 // env implements Env for one node. It is used only by that node's
-// goroutine.
+// coroutine.
 type env struct {
 	id    int
 	eng   *engine
 	rng   *rand.Rand
 	round int
 
-	// yield suspends this node's coroutine in pump mode; nil under the
-	// parallel barrier.
+	// yield suspends this node's coroutine until the pump resumes it.
 	yield func(struct{}) bool
 }
 
@@ -279,48 +231,23 @@ func (e *env) T() int           { return e.eng.cfg.T }
 func (e *env) Round() int       { return e.round }
 func (e *env) Rand() *rand.Rand { return e.rng }
 
-// arrive records one barrier arrival. The arrival that completes the
-// round becomes the leader and resolves it inline; every other arrival
-// parks until the round resolves (or the run aborts).
-func (e *env) arrive(round int) {
-	eng := e.eng
-	if eng.arrived.Add(1) == eng.needed.Load() {
-		eng.resolveRound()
-		return
-	}
-	eng.mu.Lock()
-	for eng.gen.Load() == int64(round) && !eng.abort {
-		eng.cond.Wait()
-	}
-	eng.mu.Unlock()
-}
-
-// step performs one barrier round-trip: it commits the action into this
-// node's slot, arrives, and — once the round has resolved — serves its
-// own delivery from the engine's channel slots. Waking to an unchanged
-// generation means the run is being torn down.
+// step performs one round: it commits the action into this node's slot,
+// suspends until the pump resumes this node — which happens only after the
+// round resolved — and serves its own delivery from the engine's channel
+// slots. A false yield is the pump cancelling the coroutine during
+// teardown.
 func (e *env) step(a NodeAction) Message {
 	eng := e.eng
 	eng.actions[e.id] = a
-	if y := e.yield; y != nil {
-		// Pump mode: suspend until the pump resumes this node, which
-		// happens only after the round resolved. A false yield is the
-		// pump cancelling the coroutine during teardown.
-		if !y(struct{}{}) {
-			panic(abortSignal{})
-		}
-	} else {
-		e.arrive(e.round)
-		if eng.gen.Load() <= int64(e.round) {
-			panic(abortSignal{})
-		}
+	if !e.yield(struct{}{}) {
+		panic(abortSignal{})
 	}
 	e.round++
 	if a.Op == OpListen {
 		// A churn-silenced node's radio is deaf: it consumes the round in
-		// lock-step but hears nothing. The down mask is leader-written
-		// during resolution and stable until every node arrives again,
-		// exactly like the delivery slots.
+		// lock-step but hears nothing. The down mask is written during
+		// resolution and stable until the next round resolves, exactly
+		// like the delivery slots.
 		if eng.faulty && eng.flt.NodeDown(e.id) {
 			return nil
 		}
@@ -412,8 +339,8 @@ func RunContext(ctx context.Context, cfg Config, procs []Process) (Result, error
 		eng.xconn = c
 		// Close is idempotent by contract; the deferred call is the
 		// leak guard for panic unwinds (adversary/trace panics escape
-		// through runPump and the re-raise below), while the explicit
-		// closeConn folds a Close error into the run's result.
+		// through runPump), while the explicit closeConn folds a Close
+		// error into the run's result.
 		defer conn.Close()
 		// The engine observes cancellation at round granularity, which
 		// is not enough once a Commit can block on a real medium: a
@@ -434,25 +361,8 @@ func RunContext(ctx context.Context, cfg Config, procs []Process) (Result, error
 			defer close(stop)
 		}
 	}
-	if usePump() {
-		res, err := eng.runPump(procs)
-		err = closeConn(conn, err)
-		eng.recycle()
-		return res, err
-	}
-	var wg sync.WaitGroup
-	wg.Add(cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		go runNode(&wg, procs[i], &eng.envs[i])
-	}
-	wg.Wait()
-
-	res, err := eng.res, eng.err
+	res, err := eng.runPump(procs)
 	err = closeConn(conn, err)
-	if p := eng.leaderPanic; p != nil {
-		eng.recycle()
-		panic(p) // re-raise an adversary/trace panic on the caller, like the seed engine
-	}
 	eng.recycle()
 	return res, err
 }
@@ -469,94 +379,18 @@ func closeConn(conn Conn, err error) error {
 	return err
 }
 
-// runNode wraps a node's Process, recovering the engine's abort signal and
-// committing the internal done marker on normal completion.
-func runNode(wg *sync.WaitGroup, proc Process, e *env) {
-	defer wg.Done()
-	aborted := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(abortSignal); ok {
-					aborted = true
-					return
-				}
-				panic(r)
-			}
-		}()
-		proc(e)
-	}()
-	if aborted {
-		return
-	}
-	// Commit the done marker. If this arrival completes the round, this
-	// exiting goroutine leads its resolution.
-	eng := e.eng
-	eng.actions[e.id] = NodeAction{Op: opDone}
-	if eng.arrived.Add(1) == eng.needed.Load() {
-		eng.resolveRound()
-	}
-}
-
-// fail aborts the run from inside resolution: it records the error and
-// wakes every parked node without publishing a new generation, which the
-// nodes read as teardown.
+// fail aborts the run from inside resolution: it records the error, and
+// the pump tears the run down once resolveCommitted returns false.
 func (eng *engine) fail(err error) {
 	eng.err = err
-	eng.finished = true
-	eng.mu.Lock()
-	eng.abort = true
-	eng.mu.Unlock()
-	eng.cond.Broadcast()
-}
-
-// resolveRound runs on the round's leader (parallel barrier mode) once
-// every live node has committed an action. It is effectively
-// single-threaded: the barrier guarantees no other node touches the
-// engine until the leader publishes the resolution.
-func (eng *engine) resolveRound() {
-	defer func() {
-		if p := recover(); p != nil {
-			// An adversary or trace callback panicked. Tear the run down
-			// cleanly and let Run re-raise the value on the caller.
-			eng.leaderPanic = p
-			eng.fail(nil)
-		}
-	}()
-
-	round := eng.round
-	if eng.finished {
-		// A normally-exiting node arrived after the run already aborted;
-		// there is nothing left to resolve.
-		return
-	}
-	if round >= eng.maxRounds {
-		eng.fail(fmt.Errorf("%w (%d rounds)", ErrMaxRounds, eng.maxRounds))
-		return
-	}
-	if !eng.resolveCommitted() {
-		return // failed (fail already broadcast) or finished (no waiters)
-	}
-
-	// Re-arm the barrier, publish the new generation and release the
-	// followers. Publishing under the lock pairs with the followers'
-	// locked generation check; delivered stays untouched until every live
-	// node has arrived again, so followers read their deliveries without
-	// further coordination.
-	eng.needed.Store(int32(len(eng.roster)))
-	eng.arrived.Store(0)
-	eng.mu.Lock()
-	eng.gen.Store(int64(round) + 1)
-	eng.mu.Unlock()
-	eng.cond.Broadcast()
 }
 
 // resolveCommitted resolves exactly one round from the committed action
-// slots — the resolution core shared by both schedulers. It returns true
-// when the round resolved and the run continues, false when the run ended
-// (protocol completion sets finished; violations go through fail).
+// slots. It returns true when the round resolved and the run continues,
+// false when the run ended (every node finished, or a violation went
+// through fail).
 func (eng *engine) resolveCommitted() bool {
-	// Cancellation is observed at round granularity: the leader checks the
+	// Cancellation is observed at round granularity: the engine checks the
 	// context once per round, before resolving, so a canceled run tears
 	// down through the same abort path as any other failure and the
 	// aborted round contributes nothing to the statistics.
@@ -577,16 +411,16 @@ func (eng *engine) resolveCommitted() bool {
 	// Fault plans advance at round granularity, before any action is
 	// examined: churn windows open/close and the channel fade states take
 	// their Markov step, consuming a traffic-independent number of random
-	// draws so the schedule is identical across drive modes.
+	// draws so the schedule does not depend on what the nodes do.
 	if eng.faulty {
 		eng.flt.BeginRound(round)
 	}
 
 	// Lazily clear the channel slots the PREVIOUS round touched. The clear
-	// cannot happen when that round resolves — followers read their
-	// deliveries from the slots after the generation publish — but by the
-	// time this round's leader runs, every live node has arrived again, so
-	// the slots are free. Every other channel already holds its zero value
+	// cannot happen when that round resolves — each node reads its delivery
+	// from the slots when the pump next resumes it — but by the time this
+	// round resolves, every live node has been resumed, so the slots are
+	// free. Every other channel already holds its zero value
 	// (the invariant touched maintains), making this pass O(previous
 	// round's active channels) instead of O(C).
 	touched := eng.touched
@@ -668,8 +502,7 @@ func (eng *engine) resolveCommitted() bool {
 	eng.roster = roster[:w]
 	if w == 0 {
 		// Every node finished without starting this round: the run is
-		// complete, and no waiter is parked (they all exited).
-		eng.finished = true
+		// complete.
 		return false
 	}
 	if sawCheckpoint && sawOther {
@@ -757,7 +590,7 @@ func (eng *engine) resolveCommitted() bool {
 	}
 
 	// Phase 4: the adversary (and any tracer) observes everything. This
-	// must precede the round's release: as soon as nodes resume they
+	// must precede the next collect: as soon as nodes resume they
 	// overwrite their action slots for the next round. Silent untraced
 	// runs build no observation at all.
 	if !eng.silent || cfg.Trace != nil {
@@ -888,10 +721,9 @@ func mergeMask(scratch *bitset.Set, base, transport bitset.Set) bitset.Set {
 // on a distinct in-range channel. Excess or invalid entries are dropped
 // (the adversary only harms itself by wasting budget). The result is
 // staged in an engine-owned buffer — never the adversary's slice — that
-// is reused across rounds, so clipping allocates nothing on the steady
-// path regardless of spectrum width: channel de-duplication uses a single
-// uint64 register for C <= 64 and the engine's pooled bitset.Set scratch
-// for wider spectra. The wide scratch is allocated at most once per
+// is reused across rounds, and channel de-duplication uses the engine's
+// pooled bitset.Set scratch, so clipping allocates nothing on the steady
+// path at any spectrum width. The scratch is allocated at most once per
 // engine checkout (newEngine keeps it across pool round-trips when its
 // capacity covers the new C), and is left all-zero after every call by
 // undoing exactly the bits the accepted transmissions set — an O(T) sweep
@@ -901,40 +733,24 @@ func (eng *engine) clipAdversary(txs []Transmission) []Transmission {
 		return nil
 	}
 	cfg := &eng.cfg
+	used := eng.advUsed
+	if used == nil {
+		used = bitset.New(cfg.C)
+		eng.advUsed = used
+	}
 	out := eng.advClip[:0]
-	if cfg.C <= 64 {
-		var used uint64
-		for _, tx := range txs {
-			if len(out) >= cfg.T {
-				break
-			}
-			if tx.Channel < 0 || tx.Channel >= cfg.C {
-				continue
-			}
-			if bit := uint64(1) << uint(tx.Channel); used&bit == 0 {
-				used |= bit
-				out = append(out, tx)
-			}
+	for _, tx := range txs {
+		if len(out) >= cfg.T {
+			break
 		}
-	} else {
-		used := eng.usedWide
-		if used == nil {
-			used = bitset.New(cfg.C)
-			eng.usedWide = used
+		if tx.Channel < 0 || tx.Channel >= cfg.C || used.Get(tx.Channel) {
+			continue
 		}
-		for _, tx := range txs {
-			if len(out) >= cfg.T {
-				break
-			}
-			if tx.Channel < 0 || tx.Channel >= cfg.C || used.Get(tx.Channel) {
-				continue
-			}
-			used.Add(tx.Channel)
-			out = append(out, tx)
-		}
-		for _, tx := range out { // leave the scratch all-zero for the next round
-			used.Remove(tx.Channel)
-		}
+		used.Add(tx.Channel)
+		out = append(out, tx)
+	}
+	for _, tx := range out { // leave the scratch all-zero for the next round
+		used.Remove(tx.Channel)
 	}
 	eng.advClip = out
 	if len(out) == 0 {

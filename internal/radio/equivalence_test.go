@@ -2,11 +2,11 @@ package radio_test
 
 // Cross-scheduler equivalence suite. The golden digests in
 // testdata/equivalence.golden were captured from the seed engine (the
-// per-node channel-rendezvous scheduler that predates the barrier
-// scheduler) and pin down every observable output of a run: the full
-// Trace stream — every action, adversarial transmission, delivery and
-// transmitter count of every round — plus the final Result and error.
-// Any scheduler rewrite must reproduce these byte-for-byte.
+// per-node channel-rendezvous scheduler that predates the pump) and pin
+// down every observable output of a run: the full Trace stream — every
+// action, adversarial transmission, delivery and transmitter count of
+// every round — plus the final Result and error. Any scheduler rewrite
+// must reproduce these byte-for-byte.
 //
 // Regenerate (only when intentionally changing observable semantics):
 //
@@ -331,32 +331,27 @@ func TestSchedulerEquivalence(t *testing.T) {
 	if len(golden) != len(grid) {
 		t.Fatalf("golden file has %d entries, grid has %d (regenerate with -update)", len(golden), len(grid))
 	}
-	// Both drive modes of the barrier engine must reproduce the seed
-	// engine's digests: the parallel barrier and the coroutine pump.
-	for modeName, mode := range radio.SchedulerModes {
-		for _, tc := range grid {
-			tc := tc
-			t.Run(modeName+"/"+tc.name, func(t *testing.T) {
-				restore := radio.ForceSchedulerMode(mode)
-				defer restore()
-				want, ok := golden[tc.name]
-				if !ok {
-					t.Fatalf("no golden digest for %q (regenerate with -update)", tc.name)
-				}
-				got, err := runDigest(tc)
-				if err != nil {
-					t.Fatalf("run failed: %v", err)
-				}
-				if got != want {
-					t.Fatalf("trace digest diverged from the seed engine:\n got %s\nwant %s", got, want)
-				}
-				// The digest must also be stable across repeated runs of
-				// the same engine (determinism, not just equivalence).
-				again, _ := runDigest(tc)
-				if again != got {
-					t.Fatalf("engine is nondeterministic: %s then %s", got, again)
-				}
-			})
-		}
+	// The pump must reproduce the seed engine's digests.
+	for _, tc := range grid {
+		tc := tc
+		t.Run("pump/"+tc.name, func(t *testing.T) {
+			want, ok := golden[tc.name]
+			if !ok {
+				t.Fatalf("no golden digest for %q (regenerate with -update)", tc.name)
+			}
+			got, err := runDigest(tc)
+			if err != nil {
+				t.Fatalf("run failed: %v", err)
+			}
+			if got != want {
+				t.Fatalf("trace digest diverged from the seed engine:\n got %s\nwant %s", got, want)
+			}
+			// The digest must also be stable across repeated runs of
+			// the same engine (determinism, not just equivalence).
+			again, _ := runDigest(tc)
+			if again != got {
+				t.Fatalf("engine is nondeterministic: %s then %s", got, again)
+			}
+		})
 	}
 }

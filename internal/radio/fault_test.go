@@ -1,7 +1,7 @@
 package radio_test
 
 // Fault-injection engine tests: churn silencing, loss-model drops, fault
-// observability, and cross-drive-mode determinism of faulted runs. The
+// observability, and same-seed determinism of faulted runs. The
 // disabled-fault path is pinned separately by the golden equivalence
 // suite (the Faults field stays nil there) and by the benchwork
 // zero-allocation assertion.
@@ -245,20 +245,8 @@ func digestFaultObservation(h hash.Hash, o radio.RoundObservation) {
 	}
 }
 
-func TestFaultDeterminismAcrossDriveModes(t *testing.T) {
-	digests := make(map[string]string)
-	for modeName, mode := range radio.SchedulerModes {
-		restore := radio.ForceSchedulerMode(mode)
-		d1 := faultedDigest(t, 31)
-		d2 := faultedDigest(t, 31)
-		restore()
-		if d1 != d2 {
-			t.Fatalf("%s: faulted run nondeterministic: %s then %s", modeName, d1, d2)
-		}
-		digests[modeName] = d1
-	}
-	if digests["barrier"] != digests["pump"] {
-		t.Fatalf("faulted run diverges across drive modes:\nbarrier %s\npump    %s",
-			digests["barrier"], digests["pump"])
+func TestFaultDeterminismSameSeed(t *testing.T) {
+	if d1, d2 := faultedDigest(t, 31), faultedDigest(t, 31); d1 != d2 {
+		t.Fatalf("faulted run nondeterministic: %s then %s", d1, d2)
 	}
 }

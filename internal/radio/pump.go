@@ -1,56 +1,23 @@
 package radio
 
-// The pump scheduler: a drive mode for the round barrier that replaces
-// goroutine parking with coroutine switching.
-//
-// On a single-P runtime (GOMAXPROCS=1) the parallel barrier cannot beat
-// the scheduler's park/unpark floor: every node goroutine must be made
-// runnable, scheduled and parked again once per round, and node
-// goroutines never actually run in parallel. The pump instead runs every
-// node Process as an iter.Pull coroutine and resumes them in ID order
-// from the Run caller's goroutine: one coroutine switch in and one out
-// per node per round, with no runtime scheduling, no semaphores and no
-// timer checks — several times cheaper than a park/unpark pair.
-//
-// Both schedulers share the same resolution core (resolveCommitted), so a
-// run's observable output — trace stream, result, errors, per-node RNG
-// streams, determinism per seed — is byte-identical between them; the
-// golden equivalence suite pins both against the seed engine. Mode
-// selection: Run uses the pump when the runtime is single-P (or when
-// forced by the test hook), the parallel barrier otherwise.
+// The pump: the engine's drive. Section 3's model is a synchronous round
+// in which every node takes exactly one action, so the engine runs every
+// node Process as an iter.Pull coroutine and resumes the coroutines in ID
+// order from the Run caller's goroutine, resolving the round in between:
+// one coroutine switch in and one out per node per round, with no runtime
+// scheduling, no locks and no timer checks, which is cheaper than parking
+// and unparking a goroutine per node. Node programs therefore run one at a
+// time, and a run uses one core at any GOMAXPROCS; callers that want
+// parallelism run several runs at once (fleet campaign workers).
 
 import (
 	"fmt"
 	"iter"
-	"runtime"
-	"sync/atomic"
 )
-
-// Drive-mode override: 0 = auto (GOMAXPROCS=1 → pump), 1 = parallel
-// barrier, 2 = pump. Tests force both modes through this.
-var schedulerMode atomic.Int32
-
-const (
-	modeAuto int32 = iota
-	modeBarrier
-	modePump
-)
-
-// usePump reports whether this run should be driven by the pump.
-func usePump() bool {
-	switch schedulerMode.Load() {
-	case modeBarrier:
-		return false
-	case modePump:
-		return true
-	default:
-		return runtime.GOMAXPROCS(0) == 1
-	}
-}
 
 // crashProcess re-raises a node Process panic on a fresh goroutine so it
-// brings the process down, exactly like a panic on a node goroutine under
-// the parallel barrier (and the seed engine before it).
+// brings the process down, exactly like a panic on a node goroutine in the
+// seed engine, where every node owned a goroutine.
 func crashProcess(v any) {
 	go panic(v)
 	select {} // hold this goroutine while the crash unwinds
@@ -77,11 +44,11 @@ func (eng *engine) runPump(procs []Process) (Result, error) {
 	}
 
 	// One recover point serves the whole run: a panic while resuming is a
-	// node Process failing and crashes the process (matching the parallel
-	// barrier's node-goroutine behavior); a panic while resolving is
-	// adversary or trace code failing and unwinds to Run's caller
-	// (matching the seed engine) after the outstanding coroutines are
-	// cancelled so nothing is left suspended.
+	// node Process failing and crashes the process (matching the seed
+	// engine's node goroutines); a panic while resolving is adversary or
+	// trace code failing and unwinds to Run's caller (matching the seed
+	// engine) after the outstanding coroutines are cancelled so nothing is
+	// left suspended.
 	resuming := false
 	defer func() {
 		if r := recover(); r != nil {
@@ -97,7 +64,7 @@ func (eng *engine) runPump(procs []Process) (Result, error) {
 		}
 	}()
 
-	for !eng.finished && eng.err == nil {
+	for {
 		if eng.round >= eng.maxRounds {
 			eng.err = fmt.Errorf("%w (%d rounds)", ErrMaxRounds, eng.maxRounds)
 			break
@@ -116,7 +83,9 @@ func (eng *engine) runPump(procs []Process) (Result, error) {
 				eng.actions[id] = NodeAction{Op: opDone}
 			}
 		}
-		eng.resolveCommitted()
+		if !eng.resolveCommitted() {
+			break
+		}
 	}
 
 	// Teardown: unwind every coroutine that has not already returned.

@@ -155,7 +155,10 @@ type OmniscientAdversary interface {
 // Listen, Sleep, SleepFor, Checkpoint) blocks until the engine has resolved
 // that round, keeping all nodes in lock-step.
 //
-// An Env is owned by a single node goroutine and must not be shared.
+// Node programs run one at a time, in ID order: each round the engine
+// resumes every live node in ascending ID until it issues its next round
+// operation, so a run uses one core at any GOMAXPROCS. An Env belongs to
+// its node's program and must not be shared.
 type Env interface {
 	// Transmit broadcasts msg on the given channel for one round.
 	Transmit(channel int, msg Message)

@@ -17,71 +17,61 @@ func TestRosterFinishDuringCheckpointRound(t *testing.T) {
 	// Nodes 2 and 3 finish in exactly the round nodes 0 and 1 checkpoint.
 	// A finishing node must neither trip the checkpoint mixed-op check nor
 	// linger on the roster afterwards.
-	for modeName, mode := range radio.SchedulerModes {
-		t.Run(modeName, func(t *testing.T) {
-			restore := radio.ForceSchedulerMode(mode)
-			defer restore()
-
-			var lives []int
-			cfg := radio.Config{
-				N: 4, C: 2, T: 0, Seed: 9,
-				Trace: func(o radio.RoundObservation) {
-					live := 0
-					for _, a := range o.Actions {
-						if a.Op != 0 { // zeroed slot = finished node
-							live++
-						}
+	t.Run("pump", func(t *testing.T) {
+		var lives []int
+		cfg := radio.Config{
+			N: 4, C: 2, T: 0, Seed: 9,
+			Trace: func(o radio.RoundObservation) {
+				live := 0
+				for _, a := range o.Actions {
+					if a.Op != 0 { // zeroed slot = finished node
+						live++
 					}
-					lives = append(lives, live)
-				},
-			}
-			procs := []radio.Process{
-				func(e radio.Env) { e.Sleep(); e.Checkpoint("sync"); e.Listen(0); e.Listen(1) },
-				func(e radio.Env) { e.Sleep(); e.Checkpoint("sync"); e.Transmit(0, "m"); e.Sleep() },
-				func(e radio.Env) { e.Sleep() }, // finishes as the others checkpoint
-				func(e radio.Env) { e.Sleep() },
-			}
-			res, err := radio.Run(cfg, procs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := []int{4, 2, 2, 2}
-			if fmt.Sprint(lives) != fmt.Sprint(want) {
-				t.Fatalf("live counts per round = %v, want %v", lives, want)
-			}
-			if res.Rounds != 4 {
-				t.Fatalf("Rounds = %d, want 4", res.Rounds)
-			}
-		})
-	}
+				}
+				lives = append(lives, live)
+			},
+		}
+		procs := []radio.Process{
+			func(e radio.Env) { e.Sleep(); e.Checkpoint("sync"); e.Listen(0); e.Listen(1) },
+			func(e radio.Env) { e.Sleep(); e.Checkpoint("sync"); e.Transmit(0, "m"); e.Sleep() },
+			func(e radio.Env) { e.Sleep() }, // finishes as the others checkpoint
+			func(e radio.Env) { e.Sleep() },
+		}
+		res, err := radio.Run(cfg, procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []int{4, 2, 2, 2}
+		if fmt.Sprint(lives) != fmt.Sprint(want) {
+			t.Fatalf("live counts per round = %v, want %v", lives, want)
+		}
+		if res.Rounds != 4 {
+			t.Fatalf("Rounds = %d, want 4", res.Rounds)
+		}
+	})
 }
 
 func TestRosterAllFinishSameRound(t *testing.T) {
 	// The whole population finishes together: the next resolution sees an
 	// empty roster and ends the run with exactly the rounds that executed.
-	for modeName, mode := range radio.SchedulerModes {
-		t.Run(modeName, func(t *testing.T) {
-			restore := radio.ForceSchedulerMode(mode)
-			defer restore()
-
-			const n, rounds = 8, 5
-			procs := make([]radio.Process, n)
-			for i := 0; i < n; i++ {
-				procs[i] = func(e radio.Env) {
-					for r := 0; r < rounds; r++ {
-						e.Sleep()
-					}
+	t.Run("pump", func(t *testing.T) {
+		const n, rounds = 8, 5
+		procs := make([]radio.Process, n)
+		for i := 0; i < n; i++ {
+			procs[i] = func(e radio.Env) {
+				for r := 0; r < rounds; r++ {
+					e.Sleep()
 				}
 			}
-			res, err := radio.Run(radio.Config{N: n, C: 2, T: 0, Seed: 3}, procs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Rounds != rounds {
-				t.Fatalf("Rounds = %d, want %d", res.Rounds, rounds)
-			}
-		})
-	}
+		}
+		res, err := radio.Run(radio.Config{N: n, C: 2, T: 0, Seed: 3}, procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rounds != rounds {
+			t.Fatalf("Rounds = %d, want %d", res.Rounds, rounds)
+		}
+	})
 }
 
 func TestRosterChurnDownIsNotDone(t *testing.T) {
@@ -116,57 +106,43 @@ func TestRosterChurnDownIsNotDone(t *testing.T) {
 }
 
 // TestLargeRegimeSmoke drives a large-regime shape — N in the thousands,
-// C in the hundreds, jamming plus churn and bursty loss — through both
-// schedulers and checks they agree exactly. CI runs it under the race
-// detector, so every roster compaction, touched-channel clear and bitset
-// mask write crosses the checker at realistic scale.
+// C in the hundreds, jamming plus churn and bursty loss — through the
+// engine and checks the run is complete and non-degenerate. CI runs it
+// under the race detector, so every roster compaction, touched-channel
+// clear and bitset mask write crosses the checker at realistic scale.
 func TestLargeRegimeSmoke(t *testing.T) {
 	const n, c, tBudget, rounds = 1024, 128, 8, 48
-	build := func() ([]radio.Process, radio.Config) {
-		procs := make([]radio.Process, n)
-		for j := 0; j < n; j++ {
-			j := j
-			procs[j] = func(e radio.Env) {
-				for r := 0; r < rounds; r++ {
-					switch {
-					case j%97 == 0:
-						e.Transmit((j+3*r)%c, j)
-					case j%5 == 0:
-						e.Sleep()
-					default:
-						e.Listen((j + r) % c)
-					}
+	procs := make([]radio.Process, n)
+	for j := 0; j < n; j++ {
+		j := j
+		procs[j] = func(e radio.Env) {
+			for r := 0; r < rounds; r++ {
+				switch {
+				case j%97 == 0:
+					e.Transmit((j+3*r)%c, j)
+				case j%5 == 0:
+					e.Sleep()
+				default:
+					e.Listen((j + r) % c)
 				}
 			}
 		}
-		plan := fault.MustCompile(fault.Profile{
-			CrashFrac: 0.05, RecoverFrac: 0.05, LateFrac: 0.05, Horizon: rounds,
-			Loss: &fault.LossModel{PGoodBad: 0.1, PBadGood: 0.3, DropGood: 0.01, DropBad: 0.6},
-		}, n, c, 77)
-		jam := &sweepingJammer{t: tBudget, c: c}
-		return procs, radio.Config{N: n, C: c, T: tBudget, Seed: 19, Adversary: jam, Faults: plan}
 	}
-
-	results := make(map[string]radio.Result)
-	for modeName, mode := range radio.SchedulerModes {
-		restore := radio.ForceSchedulerMode(mode)
-		procs, cfg := build()
-		res, err := radio.Run(cfg, procs)
-		restore()
-		if err != nil {
-			t.Fatalf("%s: %v", modeName, err)
-		}
-		if res.Rounds != rounds {
-			t.Fatalf("%s: Rounds = %d, want %d", modeName, res.Rounds, rounds)
-		}
-		if res.HonestTransmissions == 0 || res.AdversarialTransmissions == 0 {
-			t.Fatalf("%s: degenerate run: %+v", modeName, res)
-		}
-		results[modeName] = res
+	plan := fault.MustCompile(fault.Profile{
+		CrashFrac: 0.05, RecoverFrac: 0.05, LateFrac: 0.05, Horizon: rounds,
+		Loss: &fault.LossModel{PGoodBad: 0.1, PBadGood: 0.3, DropGood: 0.01, DropBad: 0.6},
+	}, n, c, 77)
+	jam := &sweepingJammer{t: tBudget, c: c}
+	cfg := radio.Config{N: n, C: c, T: tBudget, Seed: 19, Adversary: jam, Faults: plan}
+	res, err := radio.Run(cfg, procs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if results["barrier"] != results["pump"] {
-		t.Fatalf("drive modes diverge at large scale:\nbarrier %+v\npump    %+v",
-			results["barrier"], results["pump"])
+	if res.Rounds != rounds {
+		t.Fatalf("Rounds = %d, want %d", res.Rounds, rounds)
+	}
+	if res.HonestTransmissions == 0 || res.AdversarialTransmissions == 0 {
+		t.Fatalf("degenerate run: %+v", res)
 	}
 }
 

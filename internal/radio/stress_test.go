@@ -1,6 +1,8 @@
 package radio
 
 import (
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -52,6 +54,39 @@ func TestManyNodesLockstep(t *testing.T) {
 	}
 	if res.Collisions != rounds*5 {
 		t.Fatalf("collisions = %d, want %d", res.Collisions, rounds*5)
+	}
+}
+
+// TestNodesRunInIDOrder pins the drive contract the Env doc states: node
+// programs run one at a time, in ID order, even with several Ps.
+func TestNodesRunInIDOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n, rounds = 64, 10
+	var (
+		mu  sync.Mutex
+		log []int
+	)
+	procs := make([]Process, n)
+	for i := range procs {
+		procs[i] = func(e Env) {
+			for r := 0; r < rounds; r++ {
+				mu.Lock()
+				log = append(log, e.ID())
+				mu.Unlock()
+				e.Listen(0)
+			}
+		}
+	}
+	if _, err := Run(Config{N: n, C: 2, T: 1, Seed: 1}, procs); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(log) != n*rounds {
+		t.Fatalf("log has %d entries, want %d", len(log), n*rounds)
+	}
+	for k, id := range log {
+		if id != k%n {
+			t.Fatalf("entry %d is node %d, want node %d", k, id, k%n)
+		}
 	}
 }
 
@@ -121,8 +156,8 @@ func TestEngineTeardownOnAbortLeavesNoDeadlock(t *testing.T) {
 	if _, err := Run(c, procs); err == nil {
 		t.Fatal("expected ErrMaxRounds")
 	}
-	// Run returning at all (with wg.Wait inside) proves the teardown; the
-	// race detector guards the rest.
+	// Run returning at all proves the teardown; the race detector guards
+	// the rest.
 }
 
 // TestAdversaryObservationContents verifies the fields the adversary sees.

@@ -1,20 +1,20 @@
 package radio
 
 // Transport abstracts the physical layer of the radio model: the engine
-// keeps the round lock-step (barrier or pump), action validation, fault
-// churn and the adversary budget, and hands each round's committed
-// transmissions to the transport, which resolves what every channel
-// actually carried. Config.Transport == nil selects the native in-memory
-// medium — the engine's own sparse resolution core, unchanged and
-// allocation-free — so existing callers never pay for the indirection.
+// keeps the round lock-step, action validation, fault churn and the
+// adversary budget, and hands each round's committed transmissions to the
+// transport, which resolves what every channel actually carried.
+// Config.Transport == nil selects the native in-memory medium — the
+// engine's own sparse resolution core, unchanged and allocation-free — so
+// existing callers never pay for the indirection.
 //
 // A Transport's contract, per round:
 //
 //   - Commit is called exactly once per resolved round, in round order,
-//     from the goroutine leading the round's resolution, even when the
-//     round carries no transmissions (a real medium can still degrade an
-//     idle round, and multi-process backends use the per-round Commit as
-//     their synchronization beacon);
+//     from the goroutine that called Run, even when the round carries no
+//     transmissions (a real medium can still degrade an idle round, and
+//     multi-process backends use the per-round Commit as their
+//     synchronization beacon);
 //   - the txs slice is engine-owned and valid only during the call;
 //   - the returned outcomes slice is transport-owned and valid until the
 //     next Commit or Close; it must contain at most one entry per

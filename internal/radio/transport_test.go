@@ -97,21 +97,16 @@ func (j *tickJammer) Observe(radio.RoundObservation) {}
 
 // TestLoopbackByteIdentical pins the tentpole invariant: a run over the
 // Loopback transport is byte-identical to the same run on the native
-// medium, across both drive modes, with and without a fault plan.
+// medium, with and without a fault plan.
 func TestLoopbackByteIdentical(t *testing.T) {
-	for modeName, mode := range radio.SchedulerModes {
-		for _, faulted := range []bool{false, true} {
-			name := fmt.Sprintf("%s/faulted=%v", modeName, faulted)
-			t.Run(name, func(t *testing.T) {
-				restore := radio.ForceSchedulerMode(mode)
-				defer restore()
-				native := transportDigest(t, nil, faulted)
-				loopback := transportDigest(t, radio.Loopback(), faulted)
-				if native != loopback {
-					t.Fatalf("loopback diverged from native medium:\n  native   %s\n  loopback %s", native, loopback)
-				}
-			})
-		}
+	for _, faulted := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pump/faulted=%v", faulted), func(t *testing.T) {
+			native := transportDigest(t, nil, faulted)
+			loopback := transportDigest(t, radio.Loopback(), faulted)
+			if native != loopback {
+				t.Fatalf("loopback diverged from native medium:\n  native   %s\n  loopback %s", native, loopback)
+			}
+		})
 	}
 }
 
@@ -191,72 +186,60 @@ func constantProcs(n, rounds int) []radio.Process {
 // any round executes, wrapped in ErrTransport.
 func TestTransportOpenError(t *testing.T) {
 	boom := errors.New("no such device")
-	for modeName, mode := range radio.SchedulerModes {
-		t.Run(modeName, func(t *testing.T) {
-			restore := radio.ForceSchedulerMode(mode)
-			defer restore()
-			tr := newInstrumented()
-			tr.openErr = boom
-			_, err := radio.Run(radio.Config{N: 4, C: 2, Seed: 1, Transport: tr}, constantProcs(4, 5))
-			if !errors.Is(err, radio.ErrTransport) || !errors.Is(err, boom) {
-				t.Fatalf("err = %v, want ErrTransport wrapping the open error", err)
-			}
-			if got := tr.commits.Load(); got != 0 {
-				t.Fatalf("%d commits after failed open", got)
-			}
-		})
-	}
+	t.Run("pump", func(t *testing.T) {
+		tr := newInstrumented()
+		tr.openErr = boom
+		_, err := radio.Run(radio.Config{N: 4, C: 2, Seed: 1, Transport: tr}, constantProcs(4, 5))
+		if !errors.Is(err, radio.ErrTransport) || !errors.Is(err, boom) {
+			t.Fatalf("err = %v, want ErrTransport wrapping the open error", err)
+		}
+		if got := tr.commits.Load(); got != 0 {
+			t.Fatalf("%d commits after failed open", got)
+		}
+	})
 }
 
 // TestTransportCommitError pins that a mid-run Commit failure aborts the
 // run through ErrTransport and still closes the Conn.
 func TestTransportCommitError(t *testing.T) {
 	boom := errors.New("medium vanished")
-	for modeName, mode := range radio.SchedulerModes {
-		t.Run(modeName, func(t *testing.T) {
-			restore := radio.ForceSchedulerMode(mode)
-			defer restore()
-			tr := newInstrumented()
-			tr.commitErr = boom
-			tr.failRound = 3
-			_, err := radio.Run(radio.Config{N: 4, C: 2, Seed: 1, Transport: tr}, constantProcs(4, 10))
-			if !errors.Is(err, radio.ErrTransport) || !errors.Is(err, boom) {
-				t.Fatalf("err = %v, want ErrTransport wrapping the commit error", err)
-			}
-			if tr.closes.Load() == 0 {
-				t.Fatal("Conn not closed after commit failure")
-			}
-		})
-	}
+	t.Run("pump", func(t *testing.T) {
+		tr := newInstrumented()
+		tr.commitErr = boom
+		tr.failRound = 3
+		_, err := radio.Run(radio.Config{N: 4, C: 2, Seed: 1, Transport: tr}, constantProcs(4, 10))
+		if !errors.Is(err, radio.ErrTransport) || !errors.Is(err, boom) {
+			t.Fatalf("err = %v, want ErrTransport wrapping the commit error", err)
+		}
+		if tr.closes.Load() == 0 {
+			t.Fatal("Conn not closed after commit failure")
+		}
+	})
 }
 
 // TestTransportClosedOnCompletion pins the ordinary teardown: one Open,
 // at least one Close, one Commit per resolved round.
 func TestTransportClosedOnCompletion(t *testing.T) {
 	const rounds = 12
-	for modeName, mode := range radio.SchedulerModes {
-		t.Run(modeName, func(t *testing.T) {
-			restore := radio.ForceSchedulerMode(mode)
-			defer restore()
-			tr := newInstrumented()
-			res, err := radio.Run(radio.Config{N: 4, C: 2, Seed: 1, Transport: tr}, constantProcs(4, rounds))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Rounds != rounds {
-				t.Fatalf("rounds = %d, want %d", res.Rounds, rounds)
-			}
-			if got := tr.opens.Load(); got != 1 {
-				t.Fatalf("opens = %d, want 1", got)
-			}
-			if tr.closes.Load() == 0 {
-				t.Fatal("Conn never closed")
-			}
-			if got := int(tr.commits.Load()); got != rounds {
-				t.Fatalf("commits = %d, want one per round (%d)", got, rounds)
-			}
-		})
-	}
+	t.Run("pump", func(t *testing.T) {
+		tr := newInstrumented()
+		res, err := radio.Run(radio.Config{N: 4, C: 2, Seed: 1, Transport: tr}, constantProcs(4, rounds))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rounds != rounds {
+			t.Fatalf("rounds = %d, want %d", res.Rounds, rounds)
+		}
+		if got := tr.opens.Load(); got != 1 {
+			t.Fatalf("opens = %d, want 1", got)
+		}
+		if tr.closes.Load() == 0 {
+			t.Fatal("Conn never closed")
+		}
+		if got := int(tr.commits.Load()); got != rounds {
+			t.Fatalf("commits = %d, want one per round (%d)", got, rounds)
+		}
+	})
 }
 
 // TestTransportCancelMidCommit pins satellite 3's fix: canceling the
@@ -264,36 +247,32 @@ func TestTransportClosedOnCompletion(t *testing.T) {
 // (unblocking the Commit) and report ErrCanceled — the run must not wait
 // out the medium.
 func TestTransportCancelMidCommit(t *testing.T) {
-	for modeName, mode := range radio.SchedulerModes {
-		t.Run(modeName, func(t *testing.T) {
-			restore := radio.ForceSchedulerMode(mode)
-			defer restore()
-			tr := newInstrumented()
-			tr.blockAt = 2 // Commit blocks until Close from round 2 on
-			ctx, cancel := context.WithCancel(context.Background())
-			go func() {
-				time.Sleep(10 * time.Millisecond)
-				cancel()
-			}()
-			done := make(chan struct{})
-			var err error
-			go func() {
-				defer close(done)
-				_, err = radio.RunContext(ctx, radio.Config{N: 4, C: 2, Seed: 1, Transport: tr}, constantProcs(4, 10))
-			}()
-			select {
-			case <-done:
-			case <-time.After(5 * time.Second):
-				t.Fatal("canceled run did not tear down; Commit still blocked")
-			}
-			if !errors.Is(err, radio.ErrCanceled) || !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
-			}
-			if tr.closes.Load() == 0 {
-				t.Fatal("Conn not closed on cancellation")
-			}
-		})
-	}
+	t.Run("pump", func(t *testing.T) {
+		tr := newInstrumented()
+		tr.blockAt = 2 // Commit blocks until Close from round 2 on
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			time.Sleep(10 * time.Millisecond)
+			cancel()
+		}()
+		done := make(chan struct{})
+		var err error
+		go func() {
+			defer close(done)
+			_, err = radio.RunContext(ctx, radio.Config{N: 4, C: 2, Seed: 1, Transport: tr}, constantProcs(4, 10))
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("canceled run did not tear down; Commit still blocked")
+		}
+		if !errors.Is(err, radio.ErrCanceled) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
+		}
+		if tr.closes.Load() == 0 {
+			t.Fatal("Conn not closed on cancellation")
+		}
+	})
 }
 
 // TestTransportMalformedOutcome pins the engine's validation of backend

@@ -85,7 +85,7 @@ type RoundEvent struct {
 
 // Observer receives the streaming per-round event feed of a Runner. The
 // stream is deterministic: for a fixed (Network, Options, workload) it is
-// identical across runs, worker schedules and engine drive modes.
+// identical across runs and worker schedules.
 //
 // Observation is purely passive — an Observer cannot influence the run —
 // and a nil Observer is free: the engine skips event assembly entirely,

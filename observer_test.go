@@ -4,10 +4,9 @@ package securadio
 // testdata/observer.golden pin the complete public event stream — every
 // round's phase bookkeeping and per-channel activity — for a grid of
 // (layer, N, C, T, adversary, seed) cells, and the test replays every
-// cell under BOTH engine drive modes (parallel barrier and coroutine
-// pump): the stream must be byte-identical across modes and across
-// repeated runs. This extends the PR 2 scheduler-equivalence suite from
-// the internal Trace stream to the promoted public Observer surface.
+// cell: the stream must match the golden and be byte-identical across
+// repeated runs. This extends the scheduler-equivalence suite from the
+// internal Trace stream to the promoted public Observer surface.
 //
 // Regenerate (only when intentionally changing the event model):
 //
@@ -26,8 +25,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"securadio/internal/radio"
 )
 
 var updateObserver = flag.Bool("update-observer", false, "rewrite testdata/observer.golden from the current engine")
@@ -184,29 +181,25 @@ func TestObserverEquivalence(t *testing.T) {
 	if len(golden) != len(grid) {
 		t.Fatalf("golden file has %d entries, grid has %d (regenerate with -update-observer)", len(golden), len(grid))
 	}
-	for modeName, mode := range radio.SchedulerModes {
-		for _, tc := range grid {
-			tc := tc
-			t.Run(modeName+"/"+tc.name, func(t *testing.T) {
-				restore := radio.ForceSchedulerMode(mode)
-				defer restore()
-				want, ok := golden[tc.name]
-				if !ok {
-					t.Fatalf("no golden digest for %q (regenerate with -update-observer)", tc.name)
-				}
-				got, err := observerDigest(tc)
-				if err != nil {
-					t.Fatalf("run failed: %v", err)
-				}
-				if got != want {
-					t.Fatalf("event stream diverged:\n got %s\nwant %s", got, want)
-				}
-				again, _ := observerDigest(tc)
-				if again != got {
-					t.Fatalf("event stream is nondeterministic: %s then %s", got, again)
-				}
-			})
-		}
+	for _, tc := range grid {
+		tc := tc
+		t.Run("pump/"+tc.name, func(t *testing.T) {
+			want, ok := golden[tc.name]
+			if !ok {
+				t.Fatalf("no golden digest for %q (regenerate with -update-observer)", tc.name)
+			}
+			got, err := observerDigest(tc)
+			if err != nil {
+				t.Fatalf("run failed: %v", err)
+			}
+			if got != want {
+				t.Fatalf("event stream diverged:\n got %s\nwant %s", got, want)
+			}
+			again, _ := observerDigest(tc)
+			if again != got {
+				t.Fatalf("event stream is nondeterministic: %s then %s", got, again)
+			}
+		})
 	}
 }
 

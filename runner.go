@@ -77,8 +77,8 @@ func WithObserver(obs Observer) RunnerOption {
 // churn (crash, crash-recover and late-join schedules that silence a
 // node's radio) and bursty Gilbert-Elliott channel loss. The schedule
 // compiles from Network.Seed, so a faulted run is exactly as
-// reproducible as a fault-free one — identical across processes, worker
-// counts and engine drive modes. Protocols degrade gracefully: crashed
+// reproducible as a fault-free one — identical across processes and
+// worker counts. Protocols degrade gracefully: crashed
 // nodes end keyless or with failed pairs, and a run fails only past the
 // model's quorum (errors matching ErrNoQuorum / ErrSetupFailed). A
 // profile that enables neither fault family disables injection entirely,
