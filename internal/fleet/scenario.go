@@ -96,11 +96,11 @@ type Scenario struct {
 	Faults *fault.Profile
 
 	// Transport, when non-nil, routes every run's physical layer through
-	// a pluggable backend (see radio.Transport) instead of the native
+	// a pluggable backend (see radio.Transport) instead of the built-in
 	// in-memory medium. Not serializable: scenario files cannot name a
-	// transport; callers wire one programmatically (CLI flags, the
-	// testnet harness). Transport-layer drops fold into the run's
-	// FaultDrops accounting.
+	// transport; callers wire one programmatically (the CLIs' -transport
+	// flag). Transport-layer drops fold into the run's FaultDrops
+	// accounting.
 	Transport radio.Transport `json:"-"`
 }
 

@@ -76,22 +76,20 @@
 //
 // # Transports
 //
-// The medium itself is pluggable behind the Transport interface
-// (Config.Transport): per round, the engine hands the transport the
-// complete committed transmission set — honest and adversarial — and
-// the transport returns one ChannelOutcome per channel that carried
-// traffic; the engine then applies the model's collision, spoof and
-// fault-drop semantics to those survivors. The contract a backend must
-// honor: outcomes only for channels in the committed set, Transmitters
-// and Msg describe traffic that SURVIVED the medium, Dropped marks a
-// channel-round on which the medium erased at least one transmission
-// (surfacing in Result.TransportDrops, never silently), and Close must
-// unblock a Commit in flight — the engine cancels mid-round by closing
-// the connection. A nil Config.Transport selects the native in-memory
-// path, byte-identical to the pre-seam engine; the Loopback transport
-// routes Commit through the same exported resolution the native path
-// uses (ResolveLocal), which is what the byte-identity tests pin.
-// Backends live in internal/transport (udp: real loopback sockets with
-// seeded loss/jam injection; testnet: multi-process lockstep
-// replication).
+// Every round resolves through one path: the engine stages the complete
+// committed transmission set — honest in node-ID order, then the
+// adversary's — and hands it to the run's Conn, which returns one
+// ChannelOutcome per channel that carried traffic; the engine then
+// applies the model's collision, spoof and fault-drop semantics to those
+// survivors. A nil Config.Transport binds the built-in in-memory medium,
+// pooled with the engine and allocation-free; Loopback exposes the same
+// medium as a Transport, and a run over it is byte-identical to the nil
+// default. The contract a backend must honor: outcomes only for channels
+// in the committed set, Transmitters and Msg describe traffic that
+// SURVIVED the medium, Dropped marks a channel-round on which the medium
+// erased at least one transmission (surfacing in Result.TransportDrops,
+// never silently), and Close must unblock a Commit in flight — the engine
+// cancels mid-round by closing the connection. The socket backend lives
+// in internal/transport/udp (real loopback sockets with seeded loss/jam
+// injection).
 package radio

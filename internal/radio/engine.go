@@ -20,10 +20,11 @@ type abortSignal struct{}
 // Each round, the pump (pump.go) resumes every live node's coroutine in ID
 // order until the node writes its next NodeAction into actions[id], its
 // private slot; resolveCommitted then resolves the round on the Run
-// caller's goroutine: it collects the committed actions in ID order,
-// merges in the adversary's transmissions, resolves collision semantics
-// into delivered and lets the adversary and tracer observe. Each node
-// reads its own delivery from the channel slots when the pump next
+// caller's goroutine: it stages the committed transmissions in ID order,
+// then the adversary's, hands them to the run's Conn (the built-in
+// in-memory medium unless Config.Transport names another), writes the
+// outcome into delivered and lets the adversary and tracer observe. Each
+// node reads its own delivery from the channel slots when the pump next
 // resumes it.
 //
 // Exactly one of the run's coroutines executes at a time, so the slots
@@ -66,29 +67,29 @@ type engine struct {
 	// recover, "done" is protocol completion.
 	//
 	// touched lists the channels the CURRENT resolved round wrote
-	// (delivered/transmitters/fromAdversary). The slots it names are
-	// cleared lazily at the start of the NEXT round's resolution — they
-	// must survive the inter-round window because each node reads its
-	// delivery from the slots when the pump next resumes it.
-	// All other channel slots hold their zero value as an invariant, so
-	// phases 1–3 cost O(active transmissions), not O(C).
-	actions       []NodeAction
-	roster        []int32
-	delivered     []Message
-	transmitters  []int
-	fromAdversary []bool
-	touched       []int32
-	advClip       []Transmission
-	advUsed       bitset.Set // clipAdversary's channel de-duplication scratch
+	// (delivered/transmitters). The slots it names are cleared lazily at
+	// the start of the NEXT round's resolution — they must survive the
+	// inter-round window because each node reads its delivery from the
+	// slots when the pump next resumes it. All other channel slots hold
+	// their zero value as an invariant, so resolution costs O(active
+	// transmissions), not O(C).
+	actions      []NodeAction
+	roster       []int32
+	delivered    []Message
+	transmitters []int
+	touched      []int32
+	advClip      []Transmission
+	advUsed      bitset.Set // clipAdversary's channel de-duplication scratch
 
-	// Transport state (Config.Transport != nil): the run's bound Conn,
-	// the per-round wire buffer the committed transmissions are staged
-	// in, the transport's per-round degradation masks (cleared lazily
-	// through touched, like the channel slots), and merge scratch for
-	// observations that must union a fault plan's masks with the
-	// transport's. All nil/empty on native runs, which keeps the
-	// in-memory medium on its original instruction stream.
-	xconn       Conn
+	// The medium: conn is the run's bound Conn, mem unless Config.Transport
+	// is set, and wireTxs the per-round buffer the committed transmissions
+	// are staged in. A configured Transport also gets per-round degradation
+	// masks (cleared lazily through touched, like the channel slots) and
+	// merge scratch for observations that must union a fault plan's masks
+	// with the transport's; on in-memory runs the masks are never read, so
+	// observations keep their nil fault fields.
+	conn        Conn
+	mem         memConn
 	wireTxs     []WireTx
 	xDropped    bitset.Set
 	xFaded      bitset.Set
@@ -140,7 +141,6 @@ func newEngine(cfg *Config, adv Adversary, maxRounds int) *engine {
 	}
 	eng.delivered = sized(eng.delivered, cfg.C)
 	eng.transmitters = sized(eng.transmitters, cfg.C)
-	eng.fromAdversary = sized(eng.fromAdversary, cfg.C)
 	if cap(eng.touched) < cfg.C {
 		eng.touched = make([]int32, 0, cfg.C)
 	}
@@ -155,10 +155,9 @@ func newEngine(cfg *Config, adv Adversary, maxRounds int) *engine {
 	} else {
 		eng.advUsed = nil // re-made on demand by clipAdversary
 	}
-	eng.xconn = nil // bound by RunContext after Open
-	eng.xRoundDrops = 0
+	eng.mem.reset(cfg.C)
+	eng.conn = &eng.mem // RunContext rebinds it to a configured Transport
 	if cfg.Transport != nil {
-		eng.wireTxs = eng.wireTxs[:0]
 		eng.xDropped = bitset.Sized(eng.xDropped, cfg.C)
 		eng.xFaded = bitset.Sized(eng.xFaded, cfg.C)
 	}
@@ -200,13 +199,10 @@ func (eng *engine) recycle() {
 	for i := range eng.envs {
 		eng.envs[i].yield = nil // drop coroutine/Process references held via yields
 	}
-	eng.advClip = eng.advClip[:cap(eng.advClip)]
-	clear(eng.advClip)
-	eng.advClip = eng.advClip[:0]
-	eng.xconn = nil
-	eng.wireTxs = eng.wireTxs[:cap(eng.wireTxs)]
-	clear(eng.wireTxs) // scrub payload references
-	eng.wireTxs = eng.wireTxs[:0]
+	clear(eng.advClip[:cap(eng.advClip)])
+	eng.conn = nil
+	clear(eng.wireTxs[:cap(eng.wireTxs)])
+	eng.mem.reset(0)
 	enginePool.Put(eng)
 }
 
@@ -336,19 +332,19 @@ func RunContext(ctx context.Context, cfg Config, procs []Process) (Result, error
 			return Result{}, fmt.Errorf("%w: open %s: %w", ErrTransport, cfg.Transport.Name(), terr)
 		}
 		conn = c
-		eng.xconn = c
+		eng.conn = c
 		// Close is idempotent by contract; the deferred call is the
 		// leak guard for panic unwinds (adversary/trace panics escape
-		// through runPump), while the explicit closeConn folds a Close
-		// error into the run's result.
+		// through runPump), while the explicit Close after the run folds
+		// a Close error into the run's result.
 		defer conn.Close()
 		// The engine observes cancellation at round granularity, which
 		// is not enough once a Commit can block on a real medium: a
 		// canceled run must not wait out a receive window (or a hung
 		// peer) before tearing down. The watcher closes the Conn the
 		// moment the context fires — Close unblocks an in-flight Commit
-		// by contract — and resolveTransport maps the resulting Commit
-		// error back to ErrCanceled.
+		// by contract — and resolve maps the resulting Commit error back
+		// to ErrCanceled.
 		if done := ctx.Done(); done != nil {
 			stop := make(chan struct{})
 			go func() {
@@ -362,21 +358,13 @@ func RunContext(ctx context.Context, cfg Config, procs []Process) (Result, error
 		}
 	}
 	res, err := eng.runPump(procs)
-	err = closeConn(conn, err)
+	if conn != nil {
+		if cerr := conn.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("%w: close: %w", ErrTransport, cerr)
+		}
+	}
 	eng.recycle()
 	return res, err
-}
-
-// closeConn closes a run's transport Conn (nil-safe) and folds a close
-// failure into the run's error unless the run already failed.
-func closeConn(conn Conn, err error) error {
-	if conn == nil {
-		return err
-	}
-	if cerr := conn.Close(); cerr != nil && err == nil {
-		return fmt.Errorf("%w: close: %w", ErrTransport, cerr)
-	}
-	return err
 }
 
 // fail aborts the run from inside resolution: it records the error, and
@@ -406,7 +394,7 @@ func (eng *engine) resolveCommitted() bool {
 	cfg := &eng.cfg
 	round := eng.round
 	actions := eng.actions
-	delivered, transmitters, fromAdversary := eng.delivered, eng.transmitters, eng.fromAdversary
+	delivered, transmitters := eng.delivered, eng.transmitters
 
 	// Fault plans advance at round granularity, before any action is
 	// examined: churn windows open/close and the channel fade states take
@@ -423,33 +411,28 @@ func (eng *engine) resolveCommitted() bool {
 	// free. Every other channel already holds its zero value
 	// (the invariant touched maintains), making this pass O(previous
 	// round's active channels) instead of O(C).
-	touched := eng.touched
-	if eng.xconn != nil {
-		for _, c := range touched {
+	for _, c := range eng.touched {
+		delivered[c] = nil
+		transmitters[c] = 0
+	}
+	if cfg.Transport != nil {
+		for _, c := range eng.touched {
 			eng.xDropped.Remove(int(c))
 			eng.xFaded.Remove(int(c))
 		}
-		clear(eng.wireTxs) // scrub the previous round's payload references
-		eng.wireTxs = eng.wireTxs[:0]
 	}
-	for _, c := range touched {
-		delivered[c] = nil
-		transmitters[c] = 0
-		fromAdversary[c] = false
-	}
-	touched = touched[:0]
+	eng.touched = eng.touched[:0]
+	wire := eng.wireTxs[:0]
 
-	// Phase 1: collect the committed actions (ID order) and tally the
-	// honest transmitters in the same pass, compacting finished nodes out
+	// Phase 1: collect the committed actions (ID order) and stage the
+	// honest transmissions in the same pass, compacting finished nodes out
 	// of the roster as they are discovered. In-place compaction preserves
 	// ascending-ID iteration, which error attribution (first offender in ID
-	// order) and checkpoint tag-precedence depend on. The per-channel
-	// scratch may fill before validation finishes, but the Result counters
+	// order) and checkpoint tag-precedence depend on. The Result counters
 	// fold in only once the whole round has validated, so an aborted round
 	// contributes nothing to the returned statistics.
 	sawCheckpoint, sawOther := false, false
 	checkpointTag := ""
-	honestTx := 0
 	roster := eng.roster
 	w := 0
 	for _, id32 := range roster {
@@ -468,18 +451,8 @@ func (eng *engine) resolveCommitted() bool {
 				if eng.faulty && eng.flt.NodeDown(id) {
 					// A down node's transmission never reaches the air.
 					eng.flt.NoteSuppressed()
-				} else if eng.xconn != nil {
-					// Transport runs stage the transmission for Commit
-					// instead of writing the channel slots directly.
-					eng.wireTxs = append(eng.wireTxs, WireTx{From: id, Channel: a.Channel, Msg: a.Msg})
-					honestTx++
 				} else {
-					if transmitters[a.Channel] == 0 {
-						touched = append(touched, int32(a.Channel))
-					}
-					transmitters[a.Channel]++
-					delivered[a.Channel] = a.Msg
-					honestTx++
+					wire = append(wire, WireTx{From: id, Channel: a.Channel, Msg: a.Msg})
 				}
 			}
 			sawOther = true
@@ -509,12 +482,12 @@ func (eng *engine) resolveCommitted() bool {
 		eng.fail(fmt.Errorf("%w: round %d: checkpoint mixed with other operations", ErrCheckpoint, round))
 		return false
 	}
-	eng.res.HonestTransmissions += honestTx
+	eng.res.HonestTransmissions += len(wire)
 
 	// Phase 2 (skipped on silent runs — the no-interference default plans
-	// nothing): the adversary commits its transmissions. A model-compliant
-	// adversary sees only completed rounds; an omniscient one additionally
-	// sees this round's honest actions.
+	// nothing): the adversary commits its transmissions, staged after the
+	// honest ones. A model-compliant adversary sees only completed rounds;
+	// an omniscient one additionally sees this round's honest actions.
 	var advTx []Transmission
 	if !eng.silent {
 		if eng.isOmni {
@@ -523,70 +496,24 @@ func (eng *engine) resolveCommitted() bool {
 			advTx = eng.adv.Plan(round)
 		}
 		advTx = eng.clipAdversary(advTx)
-		if eng.xconn != nil {
-			for _, tx := range advTx {
-				eng.wireTxs = append(eng.wireTxs, WireTx{From: AdversaryOrigin, Channel: tx.Channel, Msg: tx.Msg})
-				eng.res.AdversarialTransmissions++
-			}
-		} else {
-			for _, tx := range advTx {
-				if transmitters[tx.Channel] == 0 {
-					touched = append(touched, int32(tx.Channel))
-				}
-				transmitters[tx.Channel]++
-				delivered[tx.Channel] = tx.Msg
-				fromAdversary[tx.Channel] = true
-				eng.res.AdversarialTransmissions++
-			}
+		for _, tx := range advTx {
+			wire = append(wire, WireTx{From: AdversaryOrigin, Channel: tx.Channel, Msg: tx.Msg})
 		}
+		eng.res.AdversarialTransmissions += len(advTx)
 	}
-	eng.touched = touched
+	eng.wireTxs = wire
 
-	// Phase 3: resolve collision semantics over the touched channels only
-	// — every untouched channel has zero transmitters by the invariant
-	// above, so skipping it is not an approximation. On silent runs
-	// fromAdversary is all-false (never set), so the spoof arm is naturally
-	// dead. With a fault plan active, the loss model erases a would-be
-	// delivery after collision resolution and before spoof accounting: a
-	// dropped spoof never reached any radio, so it does not count as
-	// delivered. On transport runs the medium resolves collisions itself
-	// (resolveTransport), and the fault plan's loss model still applies on
-	// top of whatever the medium delivered, so a fault profile means the
-	// same thing over every backend.
-	if eng.xconn != nil {
-		if !eng.resolveTransport(round) {
-			return false
-		}
-		if eng.faulty {
-			eng.flt.EndRound()
-		}
-	} else if eng.faulty {
-		flt := eng.flt
-		for _, c := range touched {
-			switch {
-			case transmitters[c] > 1:
-				delivered[c] = nil
-				eng.res.Collisions++
-			case transmitters[c] == 1:
-				if delivered[c] != nil && flt.DropNow(int(c)) {
-					delivered[c] = nil
-					flt.ApplyDrop(int(c))
-				} else if fromAdversary[c] {
-					eng.res.SpoofDeliveries++
-				}
-			}
-		}
-		flt.EndRound()
-	} else {
-		for _, c := range touched {
-			switch {
-			case transmitters[c] > 1:
-				delivered[c] = nil
-				eng.res.Collisions++
-			case transmitters[c] == 1 && fromAdversary[c]:
-				eng.res.SpoofDeliveries++
-			}
-		}
+	// Phase 3: the medium resolves collision semantics (resolve). With a
+	// fault plan active, the loss model erases a would-be delivery after
+	// collision resolution and before spoof accounting: a dropped spoof
+	// never reached any radio, so it does not count as delivered. The
+	// loss model applies on top of whatever the medium delivered, so a
+	// fault profile means the same thing over every Transport.
+	if !eng.resolve(round) {
+		return false
+	}
+	if eng.faulty {
+		eng.flt.EndRound()
 	}
 
 	// Phase 4: the adversary (and any tracer) observes everything. This
@@ -610,7 +537,7 @@ func (eng *engine) resolveCommitted() bool {
 			obs.Deaths = flt.RoundDeaths()
 			obs.Recoveries = flt.RoundRecoveries()
 		}
-		if eng.xconn != nil {
+		if cfg.Transport != nil {
 			// Transport-layer degradation (socket loss, jam windows)
 			// surfaces through the same masks and counters the fault
 			// layer uses, so observers see one uniform picture.
@@ -630,15 +557,14 @@ func (eng *engine) resolveCommitted() bool {
 	return true
 }
 
-// resolveTransport runs a transport round: it hands the staged wire
-// transmissions to the backend and writes the medium's authoritative
-// outcome into the engine's channel slots. Collision counting follows
-// the medium's view (a datagram the medium lost does not collide with
-// anything), transport drops and fades feed the engine's degradation
-// masks, and the fault plan's loss model applies on top of whatever the
-// medium delivered.
-func (eng *engine) resolveTransport(round int) bool {
-	outs, err := eng.xconn.Commit(round, eng.wireTxs)
+// resolve hands the round's staged transmissions to the run's Conn and
+// writes the medium's authoritative outcome into the engine's channel
+// slots. Collision counting follows the medium's view (a datagram the
+// medium lost does not collide with anything), transport drops and fades
+// feed the engine's degradation masks, and the fault plan's loss model
+// applies on top of whatever the medium delivered.
+func (eng *engine) resolve(round int) bool {
+	outs, err := eng.conn.Commit(round, eng.wireTxs)
 	if err != nil {
 		// A canceled run closes the Conn out from under an in-flight
 		// Commit (see the watcher in RunContext); attribute that error
@@ -656,7 +582,7 @@ func (eng *engine) resolveTransport(round int) bool {
 	}
 	eng.xRoundDrops = 0
 	touched := eng.touched
-	delivered, transmitters, fromAdversary := eng.delivered, eng.transmitters, eng.fromAdversary
+	delivered, transmitters := eng.delivered, eng.transmitters
 	for i := range outs {
 		oc := &outs[i]
 		c := oc.Channel
@@ -683,19 +609,16 @@ func (eng *engine) resolveTransport(round int) bool {
 		if oc.Transmitters != 1 {
 			continue // silence (all erased, or a jam marker) or collision
 		}
-		// Single uncontested transmission: the fault plan's loss model
-		// applies on top of the medium exactly as it does natively — a
-		// delivery (non-nil payload) may be dropped; a nil-payload
-		// occupation (pure jam) cannot be, and still counts as a spoof
-		// when the occupier was the adversary, mirroring the native
-		// resolution arms.
+		// Single uncontested transmission: the fault plan's loss model may
+		// drop a delivery (non-nil payload); a nil-payload occupation (pure
+		// jam) cannot be dropped, and still counts as a spoof when the
+		// occupier was the adversary.
 		if oc.Msg != nil && eng.faulty && eng.flt.DropNow(c) {
 			eng.flt.ApplyDrop(c)
 			continue
 		}
 		delivered[c] = oc.Msg
 		if oc.From == AdversaryOrigin {
-			fromAdversary[c] = true
 			eng.res.SpoofDeliveries++
 		}
 	}

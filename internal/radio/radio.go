@@ -92,12 +92,15 @@ type RoundObservation struct {
 	// (honest plus adversarial).
 	Transmitters []int
 
-	// Fault observability. The masks are nil and the counts zero unless
-	// the run has an active fault plan (Config.Faults); like the other
-	// observation slices they are engine-owned and valid only during the
-	// call. The masks are multi-word bitsets so a wide spectrum costs a
-	// few words, not a bool per channel; bitset.Set.Get is nil-safe, so
-	// reading an absent mask simply reports false everywhere.
+	// Fault observability. The masks are nil unless the run has a fault
+	// plan (Config.Faults) or a Transport (Config.Transport), and the
+	// counts are zero unless something was dropped, silenced or restored;
+	// a Transport's drops and fades fold into Dropped, Faded and
+	// FaultDrops. Like the other observation slices the masks are
+	// engine-owned and valid only during the call. The masks are
+	// multi-word bitsets so a wide spectrum costs a few words, not a bool
+	// per channel; bitset.Set.Get is nil-safe, so reading an absent mask
+	// simply reports false everywhere.
 
 	// Down holds, per node, whether churn silenced the node this round.
 	Down bitset.Set
@@ -252,8 +255,8 @@ type Config struct {
 	// Transport, when non-nil, routes the physical layer through a
 	// pluggable backend (see Transport): the engine keeps the round
 	// lock-step, validation, churn and the adversary budget, and the
-	// backend resolves what each channel carried. nil selects the native
-	// in-memory medium — the engine's own resolution core, unchanged.
+	// backend resolves what each channel carried. nil selects the
+	// engine's built-in in-memory medium, the same one Loopback serves.
 	Transport Transport
 }
 
@@ -285,7 +288,7 @@ type Result struct {
 
 	// TransportDrops counts channel-rounds on which the transport layer
 	// erased traffic — injected socket loss or datagrams the real medium
-	// lost. Always zero on the native in-memory medium (Transport nil);
+	// lost. Always zero on the in-memory medium (Transport nil);
 	// fault-plan drops are counted by the plan, not here.
 	TransportDrops int
 }

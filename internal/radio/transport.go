@@ -2,19 +2,18 @@ package radio
 
 // Transport abstracts the physical layer of the radio model: the engine
 // keeps the round lock-step, action validation, fault churn and the
-// adversary budget, and hands each round's committed transmissions to the
-// transport, which resolves what every channel actually carried.
-// Config.Transport == nil selects the native in-memory medium — the
-// engine's own sparse resolution core, unchanged and allocation-free — so
-// existing callers never pay for the indirection.
+// adversary budget, and hands each round's committed transmissions to a
+// Conn, which resolves what every channel actually carried. Every run
+// resolves through a Conn: Config.Transport == nil binds the engine's
+// built-in in-memory medium, an allocation-free Conn pooled with the rest
+// of the engine scratch, and a configured Transport replaces it with its
+// own.
 //
 // A Transport's contract, per round:
 //
 //   - Commit is called exactly once per resolved round, in round order,
 //     from the goroutine that called Run, even when the round carries no
-//     transmissions (a real medium can still degrade an idle round, and
-//     multi-process backends use the per-round Commit as their
-//     synchronization beacon);
+//     transmissions (a real medium can still degrade an idle round);
 //   - the txs slice is engine-owned and valid only during the call;
 //   - the returned outcomes slice is transport-owned and valid until the
 //     next Commit or Close; it must contain at most one entry per
@@ -106,12 +105,11 @@ type ChannelOutcome struct {
 	Faded bool
 }
 
-// Loopback returns the reference Transport: an in-process medium with the
-// exact semantics of the native engine resolution (no loss, no jamming,
-// no sockets). It exists to pin the engine's transport plumbing — a run
-// over Loopback must be byte-identical to the same run with a nil
-// Transport — and as the executable specification other backends are
-// tested against.
+// Loopback returns the reference Transport: the engine's in-memory
+// medium behind the Transport interface (no loss, no jamming, no
+// sockets). A run over Loopback is byte-identical to the same run with a
+// nil Transport, which pins the Open/Close plumbing, and its Conn is the
+// executable specification other backends are tested against.
 func Loopback() Transport { return loopbackTransport{} }
 
 type loopbackTransport struct{}
@@ -119,46 +117,50 @@ type loopbackTransport struct{}
 func (loopbackTransport) Name() string { return "loopback" }
 
 func (loopbackTransport) Open(cfg Config) (Conn, error) {
-	return &loopbackConn{c: cfg.C}, nil
+	m := new(memConn)
+	m.reset(cfg.C)
+	return m, nil
 }
 
-// loopbackConn resolves rounds with the ResolveLocal reference resolver,
-// reusing its outcome buffer across rounds.
-type loopbackConn struct {
-	c   int
+// memConn is the in-memory medium, the model's collision rule verbatim:
+// a channel with exactly one transmission delivers it, one with zero or
+// several delivers nothing. Outcomes appear in first-touch order, which is
+// deterministic because the engine commits transmissions in node-ID order
+// with the adversary's last.
+//
+// at maps each channel to 1 + the index of its outcome in out, or 0 when
+// the channel is untouched this round, so Commit is O(transmissions). It
+// is all-zero between calls: Commit unwinds exactly the entries it set.
+type memConn struct {
+	at  []int32
 	out []ChannelOutcome
 }
 
-func (lc *loopbackConn) Commit(round int, txs []WireTx) ([]ChannelOutcome, error) {
-	lc.out = ResolveLocal(lc.out[:0], txs)
-	return lc.out, nil
+// reset readies m for a run over c channels and drops the payload
+// references the previous run's outcomes held.
+func (m *memConn) reset(c int) {
+	m.at = sized(m.at, c)
+	clear(m.out[:cap(m.out)])
+	m.out = m.out[:0]
 }
 
-func (lc *loopbackConn) Close() error { return nil }
-
-// ResolveLocal is the reference collision resolution shared by the
-// in-process backends: it appends one ChannelOutcome per distinct channel
-// in txs to out (exactly one transmitter delivers; zero or several do
-// not) and returns the extended slice. Outcomes appear in first-touch
-// order, which is deterministic because the engine commits transmissions
-// in node-ID order with the adversary's last.
-func ResolveLocal(out []ChannelOutcome, txs []WireTx) []ChannelOutcome {
-	for _, tx := range txs {
-		i := -1
-		for j := range out {
-			if out[j].Channel == tx.Channel {
-				i = j
-				break
-			}
-		}
-		if i < 0 {
-			out = append(out, ChannelOutcome{
-				Channel: tx.Channel, Transmitters: 1, From: tx.From, Msg: tx.Msg,
-			})
+func (m *memConn) Commit(_ int, txs []WireTx) ([]ChannelOutcome, error) {
+	at, out := m.at, m.out[:0]
+	for i := range txs {
+		tx := &txs[i]
+		if j := at[tx.Channel]; j != 0 {
+			out[j-1].Transmitters++
+			out[j-1].Msg = nil // collision
 			continue
 		}
-		out[i].Transmitters++
-		out[i].Msg = nil // collision
+		out = append(out, ChannelOutcome{Channel: tx.Channel, Transmitters: 1, From: tx.From, Msg: tx.Msg})
+		at[tx.Channel] = int32(len(out))
 	}
-	return out
+	for i := range out {
+		at[out[i].Channel] = 0
+	}
+	m.out = out
+	return out, nil
 }
+
+func (m *memConn) Close() error { return nil }

@@ -1,12 +1,14 @@
 package radio_test
 
-// Transport plumbing tests: the Loopback backend must leave every run
-// byte-identical to the native medium (the engine keeps lock-step,
-// validation, churn and the adversary budget either way), transport
-// failures must surface as ErrTransport without wedging the engine pool,
-// and the Conn must be closed on every exit path — completion, abort,
-// and context cancellation, including cancellation that lands while a
-// Commit is in flight.
+// Medium and transport plumbing tests: the in-memory medium must match
+// the reference collision rule (resolveLocal) round after round without
+// allocating, the Loopback backend must leave every run byte-identical to
+// the nil default (the engine keeps lock-step, validation, churn and the
+// adversary budget either way), transport failures must surface as
+// ErrTransport without wedging the engine pool, and the Conn must be
+// closed on every exit path — completion, abort, and context
+// cancellation, including cancellation that lands while a Commit is in
+// flight.
 
 import (
 	"context"
@@ -24,6 +26,112 @@ import (
 	"securadio/internal/fault"
 	"securadio/internal/radio"
 )
+
+// resolveLocal is the reference collision resolution: it appends one
+// ChannelOutcome per distinct channel in txs to out (exactly one
+// transmitter delivers; zero or several do not) and returns the extended
+// slice. Outcomes appear in first-touch order. It is the quadratic
+// specification of the model's rule, kept simple so the engine's indexed
+// medium can be checked against it.
+func resolveLocal(out []radio.ChannelOutcome, txs []radio.WireTx) []radio.ChannelOutcome {
+	for _, tx := range txs {
+		i := -1
+		for j := range out {
+			if out[j].Channel == tx.Channel {
+				i = j
+				break
+			}
+		}
+		if i < 0 {
+			out = append(out, radio.ChannelOutcome{
+				Channel: tx.Channel, Transmitters: 1, From: tx.From, Msg: tx.Msg,
+			})
+			continue
+		}
+		out[i].Transmitters++
+		out[i].Msg = nil // collision
+	}
+	return out
+}
+
+// randomWire fills txs with k random transmissions over c channels:
+// about one in five from the adversary, about one in four a pure jam
+// (nil payload).
+func randomWire(rng *rand.Rand, txs []radio.WireTx, k, c int) []radio.WireTx {
+	txs = txs[:0]
+	for ; k > 0; k-- {
+		tx := radio.WireTx{From: rng.Intn(1000), Channel: rng.Intn(c), Msg: rng.Intn(1 << 20)}
+		if rng.Intn(5) == 0 {
+			tx.From = radio.AdversaryOrigin
+		}
+		if rng.Intn(4) == 0 {
+			tx.Msg = nil
+		}
+		txs = append(txs, tx)
+	}
+	return txs
+}
+
+// TestMemMediumMatchesReference drives one in-memory Conn through 200
+// consecutive rounds of 0–2C random transmissions and compares every
+// round's outcomes, order included, with resolveLocal. Reusing one Conn
+// across rounds exercises the reset of its per-channel index.
+func TestMemMediumMatchesReference(t *testing.T) {
+	for _, c := range []int{2, 3, 72, 512} {
+		t.Run(fmt.Sprintf("C=%d", c), func(t *testing.T) {
+			conn, err := radio.Loopback().Open(radio.Config{N: 1, C: c})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			rng := rand.New(rand.NewSource(int64(c)))
+			var txs []radio.WireTx
+			var want []radio.ChannelOutcome
+			for round := 0; round < 200; round++ {
+				txs = randomWire(rng, txs, rng.Intn(2*c+1), c)
+				got, err := conn.Commit(round, txs)
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				want = resolveLocal(want[:0], txs)
+				if len(got) != len(want) {
+					t.Fatalf("round %d: %d outcomes, reference has %d", round, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("round %d outcome %d: got %+v, reference %+v", round, i, got[i], want[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestMemMediumCommitAllocsNothing pins the medium's steady state: once a
+// round has sized its outcome buffer, a Commit of 600 transmissions over
+// 512 channels allocates nothing.
+func TestMemMediumCommitAllocsNothing(t *testing.T) {
+	const c = 512
+	conn, err := radio.Loopback().Open(radio.Config{N: 1, C: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	txs := randomWire(rand.New(rand.NewSource(1)), nil, 600, c)
+	if _, err := conn.Commit(0, txs); err != nil { // warm-up
+		t.Fatal(err)
+	}
+	round := 1
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := conn.Commit(round, txs); err != nil {
+			t.Fatal(err)
+		}
+		round++
+	})
+	if allocs != 0 {
+		t.Fatalf("Commit allocates %.1f times per round after warm-up, want 0", allocs)
+	}
+}
 
 // transportDigest runs a mixed workload (optionally faulted and
 // adversarial) and digests the complete observable output: every round's
@@ -95,9 +203,9 @@ func (j *tickJammer) Plan(round int) []radio.Transmission {
 
 func (j *tickJammer) Observe(radio.RoundObservation) {}
 
-// TestLoopbackByteIdentical pins the tentpole invariant: a run over the
-// Loopback transport is byte-identical to the same run on the native
-// medium, with and without a fault plan.
+// TestLoopbackByteIdentical pins the Transport plumbing: a run over the
+// Loopback transport is byte-identical to the same run with a nil
+// Transport, with and without a fault plan.
 func TestLoopbackByteIdentical(t *testing.T) {
 	for _, faulted := range []bool{false, true} {
 		t.Run(fmt.Sprintf("pump/faulted=%v", faulted), func(t *testing.T) {

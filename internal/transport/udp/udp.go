@@ -167,11 +167,9 @@ type envelope struct {
 
 const envelopeSize = 12
 
-// AppendEnvelope appends the wire envelope for one transmission —
-// round, origin, channel as little-endian 32-bit integers — to b. It is
-// the one encoding shared by every socket backend (this package and the
-// multi-process testnet coordinator).
-func AppendEnvelope(b []byte, round, from, channel int) []byte {
+// appendEnvelope appends the wire envelope for one transmission —
+// round, origin, channel as little-endian 32-bit integers — to b.
+func appendEnvelope(b []byte, round, from, channel int) []byte {
 	var buf [envelopeSize]byte
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(round))
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(int32(from)))
@@ -179,9 +177,9 @@ func AppendEnvelope(b []byte, round, from, channel int) []byte {
 	return append(b, buf[:]...)
 }
 
-// ParseEnvelope decodes one envelope datagram into (round, from,
+// parseEnvelope decodes one envelope datagram into (round, from,
 // channel); ok is false when the payload is not exactly one envelope.
-func ParseEnvelope(b []byte) (env [3]int, ok bool) {
+func parseEnvelope(b []byte) (env [3]int, ok bool) {
 	if len(b) != envelopeSize {
 		return env, false
 	}
@@ -225,7 +223,7 @@ func (conn *Conn) readLoop(hub *net.UDPConn) {
 		if err != nil {
 			return // socket closed (or unrecoverable): Close tears us down
 		}
-		raw, ok := ParseEnvelope(buf[:n])
+		raw, ok := parseEnvelope(buf[:n])
 		if !ok {
 			continue // not ours; ignore
 		}
@@ -254,7 +252,7 @@ func (conn *Conn) Commit(round int, txs []radio.WireTx) ([]radio.ChannelOutcome,
 	var buf [envelopeSize]byte
 	for i := range txs {
 		tx := &txs[i]
-		env := AppendEnvelope(buf[:0], round, tx.From, tx.Channel)
+		env := appendEnvelope(buf[:0], round, tx.From, tx.Channel)
 		if _, err := conn.sender.WriteToUDP(env, conn.addrs[tx.Channel]); err != nil {
 			select {
 			case <-conn.done:
@@ -362,18 +360,16 @@ func envKey(from, channel int) uint64 {
 	return uint64(uint32(int32(from)))<<32 | uint64(uint32(int32(channel)))
 }
 
-// dropNow is the Conn-local view of DropDecision.
+// dropNow is the Conn-local view of dropDecision.
 func (conn *Conn) dropNow(round, channel, from int) bool {
-	return DropDecision(conn.seed, round, channel, from, conn.cfg.Loss)
+	return dropDecision(conn.seed, round, channel, from, conn.cfg.Loss)
 }
 
-// DropDecision is the injected-loss decision shared by the socket
-// backends (this package and the multi-process testnet): a splitmix64
-// hash of (seed, round, channel, origin) mapped to [0, 1) and compared
-// to loss. Pure — never dependent on traffic or arrival order — so
-// seeded runs reproduce byte-identical degradation across invocations
-// and across processes.
-func DropDecision(seed int64, round, channel, from int, loss float64) bool {
+// dropDecision is the injected-loss decision: a splitmix64 hash of
+// (seed, round, channel, origin) mapped to [0, 1) and compared to loss.
+// Pure — never dependent on traffic or arrival order — so seeded runs
+// reproduce byte-identical degradation across invocations.
+func dropDecision(seed int64, round, channel, from int, loss float64) bool {
 	if loss <= 0 {
 		return false
 	}

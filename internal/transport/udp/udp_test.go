@@ -1,6 +1,7 @@
 package udp
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -346,4 +347,28 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Loss: 0.5, Jam: []JamWindow{{Channel: 2, From: 1, To: 9}}}); err != nil {
 		t.Errorf("well-formed config rejected: %v", err)
 	}
+}
+
+// FuzzParseEnvelope pins the datagram parser every hub runs on whatever
+// arrives at its socket: it never panics, rejects every payload that is
+// not exactly one 12-byte envelope, and parses every 12-byte payload into
+// fields that appendEnvelope encodes back to the same bytes.
+func FuzzParseEnvelope(f *testing.F) {
+	f.Add(appendEnvelope(nil, 7, 3, 1))
+	f.Add(appendEnvelope(nil, 1<<31, radio.AdversaryOrigin, 511))
+	f.Add([]byte{})
+	f.Add(make([]byte, envelopeSize-1))
+	f.Add(make([]byte, envelopeSize+1))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		env, ok := parseEnvelope(b)
+		if ok != (len(b) == envelopeSize) {
+			t.Fatalf("parseEnvelope(%d bytes) ok = %v", len(b), ok)
+		}
+		if !ok {
+			return
+		}
+		if got := appendEnvelope(nil, env[0], env[1], env[2]); !bytes.Equal(got, b) {
+			t.Fatalf("parsed %v re-encodes to %x, input %x", env, got, b)
+		}
+	})
 }
