@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"securadio/internal/radio"
@@ -48,7 +49,7 @@ func TestRandomJammerBudgetAndRange(t *testing.T) {
 
 func TestSweepJammerRotates(t *testing.T) {
 	j := &SweepJammer{T: 2, C: 4}
-	r0 := j.Plan(0)
+	r0 := slices.Clone(j.Plan(0))
 	r1 := j.Plan(1)
 	if r0[0].Channel != 0 || r0[1].Channel != 1 {
 		t.Fatalf("round 0 plan = %v", r0)

@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"math/rand"
+	"slices"
 
 	"securadio/internal/radio"
 )
@@ -80,6 +81,8 @@ type HopJammer struct {
 	Rng   *rand.Rand
 
 	score []float64
+	order []int                // Plan's channel ranking, reused every round
+	out   []radio.Transmission // Plan's result, reused every round
 }
 
 var _ radio.Adversary = (*HopJammer)(nil)
@@ -97,15 +100,28 @@ func (j *HopJammer) decay() float64 {
 	return j.Decay
 }
 
-// Plan implements radio.Adversary.
+// Plan implements radio.Adversary. The returned slice is reused by the
+// next call.
 func (j *HopJammer) Plan(int) []radio.Transmission {
 	if j.score == nil {
 		j.score = make([]float64, j.C)
 	}
 	// Rank channels by score; random tie-break keeps cold starts (all
-	// scores zero) from always hammering the low channels.
-	order := j.Rng.Perm(j.C)
-	for i := 0; i < len(order); i++ {
+	// scores zero) from always hammering the low channels. The shuffle
+	// replays rand.Perm's draws one for one, the i = 0 draw included, so
+	// a seeded jammer plans exactly as it did with a fresh Perm.
+	order := slices.Grow(j.order[:0], j.C)[:j.C]
+	for i := range order {
+		k := j.Rng.Intn(i + 1)
+		order[i] = order[k]
+		order[k] = i
+	}
+	j.order = order
+	// Partial selection sort: step i fixes order[i] for good, so stopping
+	// after the t emitted positions yields the full sort's prefix at
+	// O(C*t) rather than O(C^2) comparisons.
+	limit := min(j.T, len(order))
+	for i := 0; i < limit; i++ {
 		best := i
 		for k := i + 1; k < len(order); k++ {
 			if j.score[order[k]] > j.score[order[best]] {
@@ -114,10 +130,11 @@ func (j *HopJammer) Plan(int) []radio.Transmission {
 		}
 		order[i], order[best] = order[best], order[i]
 	}
-	out := make([]radio.Transmission, 0, j.T)
-	for i := 0; i < j.T && i < len(order); i++ {
+	out := j.out[:0]
+	for i := 0; i < limit; i++ {
 		out = append(out, radio.Transmission{Channel: order[i]})
 	}
+	j.out = out
 	return out
 }
 

@@ -1,6 +1,8 @@
 package adversary
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"securadio/internal/radio"
@@ -30,7 +32,7 @@ func TestBurstJammerDutyCycle(t *testing.T) {
 
 func TestBurstJammerFreezesChannelsWithinBurst(t *testing.T) {
 	j := NewBurstJammer(2, 8, 4, 1, 7)
-	first := j.Plan(0)
+	first := slices.Clone(j.Plan(0))
 	for round := 1; round < 4; round++ {
 		txs := j.Plan(round)
 		for i := range txs {
@@ -122,5 +124,93 @@ func TestHopJammerBudget(t *testing.T) {
 			t.Fatalf("duplicate channel %d", tx.Channel)
 		}
 		seen[tx.Channel] = true
+	}
+}
+
+// referenceHopPlan is the plain form of HopJammer.Plan that the partial
+// selection must match: a fresh rand.Perm, a full selection sort and a
+// fresh result every round.
+func referenceHopPlan(j *HopJammer) []radio.Transmission {
+	if j.score == nil {
+		j.score = make([]float64, j.C)
+	}
+	order := j.Rng.Perm(j.C)
+	for i := 0; i < len(order); i++ {
+		best := i
+		for k := i + 1; k < len(order); k++ {
+			if j.score[order[k]] > j.score[order[best]] {
+				best = k
+			}
+		}
+		order[i], order[best] = order[best], order[i]
+	}
+	out := make([]radio.Transmission, 0, j.T)
+	for i := 0; i < j.T && i < len(order); i++ {
+		out = append(out, radio.Transmission{Channel: order[i]})
+	}
+	return out
+}
+
+// randomHopObservation draws one round of honest activity: about one
+// round in eight is silent, and the rest land whole counts on a handful of
+// neighbouring channels, so channels tie on equal counts as well as on the
+// zero score of channels nobody used.
+func randomHopObservation(rng *rand.Rand, round, c int) radio.RoundObservation {
+	obs := radio.RoundObservation{Round: round}
+	if rng.Intn(8) == 0 {
+		return obs
+	}
+	hot := 1 + rng.Intn(min(c, 4))
+	base := rng.Intn(c)
+	for i := rng.Intn(3 * hot); i >= 0; i-- {
+		a := radio.NodeAction{Op: radio.OpListen, Channel: (base + rng.Intn(hot)) % c}
+		if rng.Intn(2) == 0 {
+			a.Op = radio.OpTransmit
+		}
+		obs.Actions = append(obs.Actions, a)
+	}
+	return obs
+}
+
+// TestHopJammerPlanMatchesReference drives the partial-selection Plan and
+// the reference full sort from one seed through one observation stream
+// and requires the same plan every round and the same RNG state at the
+// end. Both score tables are cleared every 250 rounds, so the all-zero
+// cold start recurs.
+func TestHopJammerPlanMatchesReference(t *testing.T) {
+	const rounds = 1000
+	for _, tc := range []struct{ t, c int }{{1, 3}, {1, 72}, {2, 5}, {4, 3}, {8, 128}, {16, 512}} {
+		seed := int64(31*tc.t + tc.c)
+		got := NewHopJammer(tc.t, tc.c, seed)
+		want := NewHopJammer(tc.t, tc.c, seed)
+		rng := rand.New(rand.NewSource(seed))
+		for round := 0; round < rounds; round++ {
+			if round%250 == 0 {
+				clear(got.score)
+				clear(want.score)
+			}
+			plan := slices.Clone(got.Plan(round))
+			ref := referenceHopPlan(want)
+			if !slices.Equal(plan, ref) {
+				t.Fatalf("t=%d C=%d round %d: plan %v, reference %v", tc.t, tc.c, round, plan, ref)
+			}
+			obs := randomHopObservation(rng, round, tc.c)
+			got.Observe(obs)
+			want.Observe(obs)
+		}
+		if g, w := got.Rng.Int63(), want.Rng.Int63(); g != w {
+			t.Fatalf("t=%d C=%d: RNG diverged after %d rounds: next draw %d, reference %d", tc.t, tc.c, rounds, g, w)
+		}
+	}
+}
+
+func TestHopJammerPlanAllocsNothing(t *testing.T) {
+	for _, tc := range []struct{ t, c int }{{1, 72}, {16, 512}} {
+		j := NewHopJammer(tc.t, tc.c, 1)
+		j.Observe(radio.RoundObservation{Actions: []radio.NodeAction{{Op: radio.OpTransmit, Channel: 1}}})
+		j.Plan(0) // warm-up: sizes the reused scratch
+		if allocs := testing.AllocsPerRun(100, func() { j.Plan(1) }); allocs != 0 {
+			t.Fatalf("t=%d C=%d: Plan allocates %.1f times per call, want 0", tc.t, tc.c, allocs)
+		}
 	}
 }

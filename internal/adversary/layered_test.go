@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"slices"
 	"testing"
 
 	"securadio/internal/radio"
@@ -41,7 +42,8 @@ func TestLayeredBudgetAndDedup(t *testing.T) {
 // consecutive rounds instead of the first layer starving the second.
 func TestLayeredRotatesPriority(t *testing.T) {
 	a := NewLayered(1, &planOn{channels: []int{0}}, &planOn{channels: []int{1}})
-	even, odd := a.Plan(0), a.Plan(1)
+	even := slices.Clone(a.Plan(0))
+	odd := a.Plan(1)
 	if len(even) != 1 || len(odd) != 1 {
 		t.Fatalf("plans = %v, %v", even, odd)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"securadio/internal/feedback"
 	"securadio/internal/game"
@@ -46,8 +45,9 @@ func Run(env radio.Env, p Params, edges []graph.Edge, myValues map[int]radio.Mes
 	}
 	st := game.NewState(g, p.T)
 
-	// surrogates[v] is the witness set recorded when v was starred; every
-	// member holds v's full value vector (Invariant 2).
+	// surrogates[v] is the recruitment set recorded when v was starred
+	// (schedule.recruits); every member witnessed the starring and holds
+	// v's full value vector (Invariant 2).
 	surrogates := make(map[int][]int)
 
 	// vectors[v] is v's value vector as far as this node knows it. A node
@@ -138,7 +138,7 @@ func Run(env radio.Env, p Params, edges []graph.Edge, myValues map[int]radio.Mes
 			} else {
 				st.Star(it.Node)
 				// The pool is rebuilt next move; the recruitment set lasts.
-				surrogates[it.Node] = slices.Clone(sched.witnesses[c])
+				surrogates[it.Node] = sched.recruits(p, c)
 			}
 		}
 		if requireProgress && !progress {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"securadio/internal/feedback"
 	"securadio/internal/game"
 	"securadio/internal/graph"
@@ -139,7 +137,7 @@ func (j *ScheduleAwareJammer) Observe(obs radio.RoundObservation) {
 			j.st.RemoveEdge(it.Edge)
 		} else {
 			j.st.Star(it.Node)
-			j.surro[it.Node] = slices.Clone(sched.witnesses[c])
+			j.surro[it.Node] = sched.recruits(j.params, c)
 		}
 	}
 	// The feedback phase that follows this move.

@@ -166,6 +166,19 @@ func (s *schedule) build(p Params, items []game.Item, surrogates map[int][]int) 
 	return nil
 }
 
+// recruits returns the recruitment set to record when the node item on
+// live channel c is starred: a copy of the first 3L members of the
+// channel's witness pool (L = p.LiveChannels()). When build later recruits
+// a surrogate for the starred node, at most 3L-1 nodes are busy: the
+// move's at most L items reserve at most two nodes each, and each earlier
+// item recruited at most one surrogate. Its first-free scan therefore
+// stops within the first 3L members, so the rest of the pool would never
+// be read; this is the bound for which Params.WitnessesPerChannel sizes
+// every pool at no less than 3L.
+func (s *schedule) recruits(p Params, c int) []int {
+	return slices.Clone(s.witnesses[c][:3*p.LiveChannels()])
+}
+
 // feedbackWitnesses trims the witness pools to the shape the feedback
 // routine needs: exactly C members per monitored channel for the
 // sequential routine, the full pool for the parallel one.

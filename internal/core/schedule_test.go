@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"securadio/internal/game"
@@ -213,5 +214,118 @@ func TestProposalForModes(t *testing.T) {
 		if !it.IsEdge {
 			t.Fatal("direct mode proposed a node item")
 		}
+	}
+}
+
+// randomRecruits draws a recruitment set for starred node v: between 3L
+// and active+3L-1 distinct nodes other than v, in random order, from
+// [0, active+3L). That range holds the active range [0, active) where
+// every proposal's endpoints lie, so the first candidates are often busy.
+func randomRecruits(rng *rand.Rand, v, l, active int) []int {
+	var set []int
+	for _, u := range rng.Perm(active + 3*l) {
+		if u != v {
+			set = append(set, u)
+		}
+	}
+	return set[:3*l+rng.Intn(len(set)-3*l+1)]
+}
+
+// TestRecruitmentPrefixSchedulesAlike plays random pair graphs through
+// game.State and builds every move twice: once from full recruitment sets
+// of random length and once from their first 3L members. The schedules
+// must agree, since build never recruits past position 3L-1.
+func TestRecruitmentPrefixSchedulesAlike(t *testing.T) {
+	for _, p := range []Params{
+		{N: 80, C: 3, T: 2, Regime: RegimeBase},
+		{N: 80, C: 8, T: 2, Regime: Regime2T},
+		{N: 80, C: 8, T: 2, Regime: Regime2T2},
+	} {
+		l := p.LiveChannels()
+		active := 2*l + 2
+		rng := newTestRand(int64(p.Regime))
+		deepest := 0
+		for trial := 0; trial < 200; trial++ {
+			g, err := graph.FromEdges(p.N, graph.RandomPairs(active, 2*active, rng.Intn))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := game.NewState(g, p.T)
+			full, prefix := map[int][]int{}, map[int][]int{}
+			var a, b schedule
+			for move := 0; move < 100; move++ {
+				items := proposalFor(p, st)
+				if items == nil {
+					break
+				}
+				if err := a.build(p, items, full); err != nil {
+					t.Fatalf("%v: full sets: %v", p.Regime, err)
+				}
+				if err := b.build(p, items, prefix); err != nil {
+					t.Fatalf("%v: 3L prefixes: %v", p.Regime, err)
+				}
+				if !slices.Equal(a.broadcaster, b.broadcaster) || !slices.Equal(a.vectorOwner, b.vectorOwner) ||
+					!slices.Equal(a.dest, b.dest) || !slices.EqualFunc(a.witnesses, b.witnesses, slices.Equal) {
+					t.Fatalf("%v: move %d of %v: schedules differ:\nfull   %v %v %v %v\nprefix %v %v %v %v",
+						p.Regime, move, items, a.broadcaster, a.vectorOwner, a.dest, a.witnesses,
+						b.broadcaster, b.vectorOwner, b.dest, b.witnesses)
+				}
+				for c, it := range items {
+					if it.IsEdge && a.broadcaster[c] != it.Edge.Src {
+						deepest = max(deepest, slices.Index(full[it.Edge.Src], a.broadcaster[c]))
+					}
+				}
+				// A random referee response: about two items in three
+				// succeed; every starring records a fresh set.
+				for c, it := range items {
+					if rng.Intn(3) == 0 {
+						continue
+					}
+					if it.IsEdge {
+						st.RemoveEdge(it.Edge)
+						continue
+					}
+					if got, want := a.recruits(p, c), a.witnesses[c][:3*l]; !slices.Equal(got, want) {
+						t.Fatalf("%v: recruits = %v, want the pool's first 3L %v", p.Regime, got, want)
+					}
+					st.Star(it.Node)
+					set := randomRecruits(rng, it.Node, l, active)
+					full[it.Node], prefix[it.Node] = set, set[:3*l]
+				}
+			}
+		}
+		if deepest < 2 {
+			t.Fatalf("%v: deepest recruit at position %d; the sets never made build scan past position 1", p.Regime, deepest)
+		}
+		t.Logf("%v: deepest recruit at position %d of the 3L = %d prefix", p.Regime, deepest, 3*l)
+	}
+}
+
+// TestRecruitPastBusyCandidates: the starred source's first candidates are
+// its own destinations (reserved) or an earlier surrogate (assigned), so
+// its recruits sit at positions 3 and 4 of the set; the 3L prefix
+// schedules the same move.
+func TestRecruitPastBusyCandidates(t *testing.T) {
+	p := Params{N: 40, C: 3, T: 2, Regime: RegimeBase}
+	items := []game.Item{
+		game.EdgeItem(graph.Edge{Src: 0, Dst: 1}),
+		game.EdgeItem(graph.Edge{Src: 0, Dst: 2}),
+		game.EdgeItem(graph.Edge{Src: 0, Dst: 3}),
+	}
+	set := []int{1, 2, 3, 30, 31, 32, 33, 34, 35, 36, 37, 38}
+	full, err := buildSchedule(p, items, map[int][]int{0: set})
+	if err != nil {
+		t.Fatalf("buildSchedule: %v", err)
+	}
+	if want := []int{0, 30, 31}; !slices.Equal(full.broadcaster, want) {
+		t.Fatalf("broadcasters = %v, want %v", full.broadcaster, want)
+	}
+	prefix, err := buildSchedule(p, items, map[int][]int{0: set[:3*p.LiveChannels()]})
+	if err != nil {
+		t.Fatalf("buildSchedule with the 3L prefix: %v", err)
+	}
+	if !slices.Equal(prefix.broadcaster, full.broadcaster) || !slices.EqualFunc(prefix.witnesses, full.witnesses, slices.Equal) {
+		t.Fatalf("3L prefix scheduled %v %v, full set %v %v",
+			prefix.broadcaster, prefix.witnesses, full.broadcaster, full.witnesses)
 	}
 }

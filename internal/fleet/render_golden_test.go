@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var updateRender = flag.Bool("update", false, "rewrite the sweep renderer golden files")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata (sweep renderers, scenario digests)")
 
 // renderFixture is the pinned sweep for the renderer goldens: a 2x2 grid
 // with one axis value whose cells are model-rejected, so both the matrix
@@ -37,7 +37,7 @@ func renderFixture(t *testing.T) *SweepResult {
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
-	if *updateRender {
+	if *updateGolden {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -129,6 +129,8 @@ type RoundObservation struct {
 // t transmissions on distinct channels are honored.
 type Adversary interface {
 	// Plan returns the adversary's transmissions for the given round.
+	// The adversary may reuse the returned slice in its next Plan call, so
+	// a caller that keeps a plan across calls must copy it.
 	Plan(round int) []Transmission
 
 	// Observe reports the complete outcome of a finished round. The
@@ -149,7 +151,8 @@ type OmniscientAdversary interface {
 
 	// PlanOmniscient is called instead of Plan when the adversary
 	// implements this interface. The pending slice (indexed by node ID) is
-	// only valid during the call.
+	// only valid during the call; the returned slice may be reused, as
+	// Plan's may.
 	PlanOmniscient(round int, pending []NodeAction) []Transmission
 }
 
