@@ -1,8 +1,6 @@
 package securadio
 
 import (
-	"context"
-
 	"securadio/internal/adversary"
 	"securadio/internal/core"
 	"securadio/internal/fault"
@@ -55,42 +53,6 @@ type Network struct {
 	Seed int64
 	// Adversary is the interferer; nil means no interference.
 	Adversary Interferer
-}
-
-// Options configure the exchange protocols.
-type Options struct {
-	// Regime selects the channel-usage strategy; zero value is RegimeAuto.
-	Regime Regime
-
-	// Direct disables surrogate relaying (the 2t-disruptable baseline /
-	// Byzantine-tolerant variant of Section 8).
-	Direct bool
-
-	// Kappa scales all with-high-probability repetition counts;
-	// non-positive selects the library default.
-	Kappa float64
-
-	// Cleanup enables the best-effort post-termination delivery extension
-	// (Section 8, open question 3): after the greedy strategy terminates,
-	// the nodes keep scheduling the surviving pairs (padded with fresh
-	// recruitment items) for up to Cleanup extra moves. Against anything
-	// short of a perfectly targeted jammer this usually empties the
-	// disruption graph entirely.
-	Cleanup int
-}
-
-func (o Options) fameParams(net Network) core.Params {
-	mode := core.ModeSurrogate
-	if o.Direct {
-		mode = core.ModeDirect
-	}
-	return core.Params{
-		N: net.N, C: net.C, T: net.T,
-		Mode:    mode,
-		Regime:  o.Regime,
-		Kappa:   o.Kappa,
-		Cleanup: o.Cleanup,
-	}
 }
 
 // Transport abstracts the physical layer of the radio model: the engine
@@ -151,7 +113,7 @@ func NewLossModel(rate float64) LossModel { return *fault.DefaultLoss(rate) }
 // be zero to disable that fault family.
 func NewFaultProfile(churn, loss float64) FaultProfile { return fault.FromFractions(churn, loss) }
 
-// ExchangeReport summarizes an ExchangeMessages run.
+// ExchangeReport summarizes a Runner.Exchange or ExchangeCompact run.
 type ExchangeReport struct {
 	// Delivered maps each successful pair to the authentic payload its
 	// destination output.
@@ -180,37 +142,7 @@ type ExchangeReport struct {
 	DegradedRounds int
 }
 
-// ExchangeMessages runs the f-AME protocol: each pair (v, w) attempts to
-// deliver payloads[pair] from v to w, with authentication, sender
-// awareness, and t-disruptability, despite the network's adversary.
-//
-// It is a convenience wrapper over Runner.Exchange with an uncancellable
-// context; build a Runner directly for cancellation, streaming observers
-// and shared configuration.
-func ExchangeMessages(net Network, pairs []Pair, payloads map[Pair]Message, opts Options) (*ExchangeReport, error) {
-	r, err := NewRunner(net, withOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	return r.Exchange(context.Background(), pairs, payloads)
-}
-
-// ExchangeMessagesCompact runs f-AME with the Section 5.6 message-size
-// optimization: payloads travel through an epoch-gossip phase and only
-// constant-size vector signatures ride the authenticated exchange.
-// Payloads must be strings (the optimization hashes them).
-//
-// It is a convenience wrapper over Runner.ExchangeCompact with an
-// uncancellable context.
-func ExchangeMessagesCompact(net Network, pairs []Pair, payloads map[Pair]string, opts Options) (*ExchangeReport, error) {
-	r, err := NewRunner(net, withOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	return r.ExchangeCompact(context.Background(), pairs, payloads)
-}
-
-// GroupKeyReport summarizes an EstablishGroupKey run.
+// GroupKeyReport summarizes a Runner.GroupKey run.
 type GroupKeyReport struct {
 	// Keys holds each node's adopted group key (nil for the at-most-t
 	// nodes that correctly identified their lack of knowledge).
@@ -232,20 +164,6 @@ type GroupKeyReport struct {
 	FaultDrops     int
 	NodesLost      int
 	DegradedRounds int
-}
-
-// EstablishGroupKey runs the Section 6 protocol end to end and returns the
-// per-node keys. No pre-shared secrets are assumed; secrecy rests on the
-// computational Diffie-Hellman assumption exactly as in the paper.
-//
-// It is a convenience wrapper over Runner.GroupKey with an uncancellable
-// context.
-func EstablishGroupKey(net Network, opts Options) (*GroupKeyReport, error) {
-	r, err := NewRunner(net, withOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	return r.GroupKey(context.Background())
 }
 
 // --- adversary constructors ---

@@ -1,12 +1,23 @@
 package securadio
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
 
 func testNet() Network {
 	return Network{N: 20, C: 2, T: 1, Seed: 42}
+}
+
+// newRunner builds a Runner for net or fails the test.
+func newRunner(t testing.TB, net Network, opts ...RunnerOption) *Runner {
+	t.Helper()
+	r, err := NewRunner(net, opts...)
+	if err != nil {
+		t.Fatalf("NewRunner: %v", err)
+	}
+	return r
 }
 
 func somePairs() ([]Pair, map[Pair]Message) {
@@ -24,9 +35,9 @@ func somePairs() ([]Pair, map[Pair]Message) {
 func TestExchangeMessagesClean(t *testing.T) {
 	net := testNet()
 	pairs, payloads := somePairs()
-	rep, err := ExchangeMessages(net, pairs, payloads, Options{})
+	rep, err := newRunner(t, net).Exchange(context.Background(), pairs, payloads)
 	if err != nil {
-		t.Fatalf("ExchangeMessages: %v", err)
+		t.Fatalf("Exchange: %v", err)
 	}
 	if len(rep.Failed) != 0 {
 		t.Fatalf("failures without adversary: %v", rep.Failed)
@@ -42,9 +53,9 @@ func TestExchangeMessagesUnderWorstCaseJamming(t *testing.T) {
 	net := testNet()
 	net.Adversary = NewWorstCaseJammer(net)
 	pairs, payloads := somePairs()
-	rep, err := ExchangeMessages(net, pairs, payloads, Options{})
+	rep, err := newRunner(t, net).Exchange(context.Background(), pairs, payloads)
 	if err != nil {
-		t.Fatalf("ExchangeMessages: %v", err)
+		t.Fatalf("Exchange: %v", err)
 	}
 	if rep.DisruptionCover > net.T {
 		t.Fatalf("disruption cover %d exceeds t=%d", rep.DisruptionCover, net.T)
@@ -72,16 +83,16 @@ func TestExchangeMessagesCleanupDeliversStragglers(t *testing.T) {
 	for _, p := range pairs {
 		payloads[p] = "x"
 	}
-	plain, err := ExchangeMessages(net, pairs, payloads, Options{})
+	plain, err := newRunner(t, net).Exchange(context.Background(), pairs, payloads)
 	if err != nil {
-		t.Fatalf("ExchangeMessages: %v", err)
+		t.Fatalf("Exchange: %v", err)
 	}
 	if len(plain.Failed) == 0 {
 		t.Fatal("workload did not strand a straggler; the cleanup test needs one")
 	}
-	cleaned, err := ExchangeMessages(net, pairs, payloads, Options{Cleanup: 8})
+	cleaned, err := newRunner(t, net, WithCleanup(8)).Exchange(context.Background(), pairs, payloads)
 	if err != nil {
-		t.Fatalf("ExchangeMessages with cleanup: %v", err)
+		t.Fatalf("Exchange with cleanup: %v", err)
 	}
 	if len(cleaned.Failed) != 0 {
 		t.Fatalf("cleanup left failures: %v", cleaned.Failed)
@@ -95,9 +106,9 @@ func TestExchangeMessagesCompact(t *testing.T) {
 	for _, p := range pairs {
 		payloads[p] = fmt.Sprintf("compact %v", p)
 	}
-	rep, err := ExchangeMessagesCompact(net, pairs, payloads, Options{})
+	rep, err := newRunner(t, net).ExchangeCompact(context.Background(), pairs, payloads)
 	if err != nil {
-		t.Fatalf("ExchangeMessagesCompact: %v", err)
+		t.Fatalf("ExchangeCompact: %v", err)
 	}
 	if rep.DisruptionCover > net.T {
 		t.Fatalf("cover %d exceeds t", rep.DisruptionCover)
@@ -112,9 +123,9 @@ func TestExchangeMessagesCompact(t *testing.T) {
 func TestExchangeMessagesDirectMode(t *testing.T) {
 	net := testNet()
 	pairs, payloads := somePairs()
-	rep, err := ExchangeMessages(net, pairs, payloads, Options{Direct: true})
+	rep, err := newRunner(t, net, WithDirect(true)).Exchange(context.Background(), pairs, payloads)
 	if err != nil {
-		t.Fatalf("ExchangeMessages direct: %v", err)
+		t.Fatalf("Exchange direct: %v", err)
 	}
 	if rep.DisruptionCover > 2*net.T {
 		t.Fatalf("direct-mode cover %d exceeds 2t", rep.DisruptionCover)
@@ -124,9 +135,9 @@ func TestExchangeMessagesDirectMode(t *testing.T) {
 func TestEstablishGroupKeyAPI(t *testing.T) {
 	net := testNet()
 	net.Adversary = NewJammer(net, 7)
-	rep, err := EstablishGroupKey(net, Options{})
+	rep, err := newRunner(t, net).GroupKey(context.Background())
 	if err != nil {
-		t.Fatalf("EstablishGroupKey: %v", err)
+		t.Fatalf("GroupKey: %v", err)
 	}
 	if rep.Agreed < net.N-net.T {
 		t.Fatalf("agreed = %d, want >= %d", rep.Agreed, net.N-net.T)
@@ -176,9 +187,9 @@ func TestRunSecureGroupEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	rep, err := RunSecureGroup(net, Options{}, app)
+	rep, err := newRunner(t, net).SecureGroup(context.Background(), app)
 	if err != nil {
-		t.Fatalf("RunSecureGroup: %v", err)
+		t.Fatalf("SecureGroup: %v", err)
 	}
 	if rep.KeyHolders < net.N-net.T {
 		t.Fatalf("key holders = %d", rep.KeyHolders)

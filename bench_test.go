@@ -1,4 +1,4 @@
-package securadio
+package securadio_test
 
 // Benchmark harness: one testing.B benchmark per paper artifact, mirroring
 // the cmd/paperbench experiments (E1-E12), plus substrate and fleet
@@ -10,7 +10,6 @@ package securadio
 // regenerates the quantitative shape of every table and figure.
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -29,99 +28,36 @@ import (
 	"securadio/internal/wcrypto"
 )
 
-// benchPairs builds a reproducible random workload.
-func benchPairs(span, k int, seed int64) ([]graph.Edge, map[graph.Edge]radio.Message) {
-	rng := rand.New(rand.NewSource(seed))
-	pairs := graph.RandomPairs(span, k, rng.Intn)
-	values := make(map[graph.Edge]radio.Message, len(pairs))
-	for _, e := range pairs {
-		values[e] = fmt.Sprintf("m%v", e)
-	}
-	return pairs, values
-}
-
-func benchFAME(b *testing.B, p core.Params, numPairs int) {
-	b.Helper()
-	pairs, values := benchPairs(12, numPairs, 7)
-	totalRounds := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		adv := &adversary.GreedyJammer{T: p.T, C: p.C}
-		out, err := core.Exchange(p, pairs, values, adv, int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out.CoverSize > p.T {
-			b.Fatalf("cover %d exceeds t", out.CoverSize)
-		}
-		totalRounds += out.Rounds
-	}
-	b.ReportMetric(float64(totalRounds)/float64(b.N), "radio-rounds/op")
-}
-
 // BenchmarkFAMEBase regenerates Figure 3 row C=t+1 (E1):
 // O(|E| t^2 log n) rounds.
 func BenchmarkFAMEBase(b *testing.B) {
 	for _, k := range []int{8, 16, 32} {
-		b.Run(fmt.Sprintf("E=%d/t=1", k), func(b *testing.B) {
-			benchFAME(b, core.Params{N: 22, C: 2, T: 1, Regime: core.RegimeBase}, k)
-		})
+		b.Run(fmt.Sprintf("E=%d/t=1", k), benchwork.FAMEBase(k))
 	}
-	b.Run("E=16/t=2", func(b *testing.B) {
-		benchFAME(b, core.Params{N: 40, C: 3, T: 2, Regime: core.RegimeBase}, 16)
-	})
+	p := core.Params{N: 40, C: 3, T: 2, Regime: core.RegimeBase}
+	b.Run("E=16/t=2", benchwork.FAME(p, 16))
 }
 
 // BenchmarkRunnerExchange is BenchmarkFAMEBase's E=16/t=1 cell driven
-// through the public context-aware Runner with a nil Observer, pinning
-// the wrapper plus nil-observer fast path at approximately zero cost over
-// the internal entrypoint. Mirrored in cmd/benchjson (import cycle keeps
-// it out of internal/benchwork) — when editing, update both copies.
-func BenchmarkRunnerExchange(b *testing.B) {
-	b.Run("E=16/t=1", func(b *testing.B) {
-		pairs, values := benchPairs(12, 16, 7)
-		payloads := make(map[Pair]Message, len(pairs))
-		for e, v := range values {
-			payloads[e] = v
-		}
-		ctx := context.Background()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			net := Network{N: 22, C: 2, T: 1, Seed: int64(i)}
-			r, err := NewRunner(net,
-				WithRegime(RegimeBase),
-				WithAdversary(NewWorstCaseJammer(net)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			rep, rerr := r.Exchange(ctx, pairs, payloads)
-			if rerr != nil {
-				b.Fatal(rerr)
-			}
-			if rep.DisruptionCover > net.T {
-				b.Fatalf("cover %d exceeds t", rep.DisruptionCover)
-			}
-		}
-	})
-}
+// through the public context-aware Runner with a nil Observer, pinning the
+// Runner plus the nil-observer fast path at approximately zero cost over
+// the internal entrypoint.
+func BenchmarkRunnerExchange(b *testing.B) { b.Run("E=16/t=1", benchwork.RunnerExchange) }
 
 // BenchmarkFAME2T regenerates Figure 3 row C>=2t (E2): O(|E| log n).
 func BenchmarkFAME2T(b *testing.B) {
+	p := core.Params{N: 64, C: 4, T: 2, Regime: core.Regime2T}
 	for _, k := range []int{8, 16, 32} {
-		b.Run(fmt.Sprintf("E=%d/t=2", k), func(b *testing.B) {
-			benchFAME(b, core.Params{N: 64, C: 4, T: 2, Regime: core.Regime2T}, k)
-		})
+		b.Run(fmt.Sprintf("E=%d/t=2", k), benchwork.FAME(p, k))
 	}
 }
 
 // BenchmarkFAME2T2 regenerates Figure 3 row C>=2t^2 (E3):
 // O(|E| log^2 n / t).
 func BenchmarkFAME2T2(b *testing.B) {
+	p := core.Params{N: 64, C: 8, T: 2, Regime: core.Regime2T2}
 	for _, k := range []int{8, 16, 32} {
-		b.Run(fmt.Sprintf("E=%d/t=2", k), func(b *testing.B) {
-			benchFAME(b, core.Params{N: 64, C: 8, T: 2, Regime: core.Regime2T2}, k)
-		})
+		b.Run(fmt.Sprintf("E=%d/t=2", k), benchwork.FAME(p, k))
 	}
 }
 
@@ -450,26 +386,7 @@ func BenchmarkSealOpen(b *testing.B) {
 // BenchmarkFleetCampaign measures campaign throughput (runs/sec) of the
 // fleet executor on a 256-run f-AME campaign across all cores — the
 // scaling baseline future PRs measure themselves against.
-func BenchmarkFleetCampaign(b *testing.B) {
-	sc, ok := LookupScenario("fame-jam")
-	if !ok {
-		b.Fatal("fame-jam scenario missing")
-	}
-	const runs = 256
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agg, err := RunCampaign(context.Background(), Campaign{
-			Scenario: sc, Runs: runs, Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if agg.Runs != runs || agg.Failures != 0 {
-			b.Fatalf("runs=%d failures=%d", agg.Runs, agg.Failures)
-		}
-	}
-	b.ReportMetric(float64(runs)*float64(b.N)/b.Elapsed().Seconds(), "runs/sec")
-}
+func BenchmarkFleetCampaign(b *testing.B) { benchwork.FleetCampaign(b) }
 
 // BenchmarkDHKeyExchange measures one Diffie-Hellman key agreement in the
 // simulation group.

@@ -20,33 +20,22 @@
 // before/after pair gates in CI. Newly added benchmarks are listed but
 // never count against the diff.
 //
-// The radio-engine workloads are shared with bench_test.go through
-// internal/benchwork, so those cells always measure exactly what CI
-// smoke-runs. The f-AME and fleet benchmarks MIRROR their bench_test.go
-// counterparts instead: they exercise package securadio, which this
-// command imports, so a shared workload package would be an import
-// cycle — when editing those two, update BOTH copies.
+// Every workload is shared with bench_test.go through internal/benchwork,
+// so each cell measures exactly what CI smoke-runs.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"runtime"
 	"strings"
 	"testing"
 	"text/tabwriter"
 
-	securadio "securadio"
-	"securadio/internal/adversary"
 	"securadio/internal/benchwork"
-	"securadio/internal/core"
-	"securadio/internal/graph"
-	"securadio/internal/radio"
 )
 
 // Result is one benchmark's measurements.
@@ -74,87 +63,6 @@ type benchmark struct {
 	run  func(b *testing.B)
 }
 
-// benchFAMEBase mirrors BenchmarkFAMEBase's E=16/t=1 cell.
-func benchFAMEBase(b *testing.B) {
-	const span, pairsN = 12, 16
-	rng := rand.New(rand.NewSource(7))
-	pairs := graph.RandomPairs(span, pairsN, rng.Intn)
-	values := make(map[graph.Edge]radio.Message, len(pairs))
-	for _, e := range pairs {
-		values[e] = fmt.Sprintf("m%v", e)
-	}
-	p := core.Params{N: 22, C: 2, T: 1, Regime: core.RegimeBase}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		adv := &adversary.GreedyJammer{T: p.T, C: p.C}
-		out, err := core.Exchange(p, pairs, values, adv, int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out.CoverSize > p.T {
-			b.Fatalf("cover %d exceeds t", out.CoverSize)
-		}
-	}
-}
-
-// benchRunnerExchange mirrors BenchmarkRunnerExchange: the benchFAMEBase
-// cell driven through the public context-aware Runner with a nil
-// Observer, pinning the wrapper plus nil-observer fast path at
-// approximately zero cost over the internal entrypoint.
-func benchRunnerExchange(b *testing.B) {
-	const span, pairsN = 12, 16
-	rng := rand.New(rand.NewSource(7))
-	pairs := graph.RandomPairs(span, pairsN, rng.Intn)
-	payloads := make(map[securadio.Pair]securadio.Message, len(pairs))
-	for _, e := range pairs {
-		payloads[e] = fmt.Sprintf("m%v", e)
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net := securadio.Network{N: 22, C: 2, T: 1, Seed: int64(i)}
-		r, err := securadio.NewRunner(net,
-			securadio.WithRegime(securadio.RegimeBase),
-			securadio.WithAdversary(securadio.NewWorstCaseJammer(net)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, rerr := r.Exchange(ctx, pairs, payloads)
-		if rerr != nil {
-			b.Fatal(rerr)
-		}
-		if rep.DisruptionCover > net.T {
-			b.Fatalf("cover %d exceeds t", rep.DisruptionCover)
-		}
-	}
-}
-
-// benchFleetCampaign mirrors BenchmarkFleetCampaign: a 256-run fame-jam
-// campaign per iteration, reporting runs/sec.
-func benchFleetCampaign(b *testing.B) {
-	sc, ok := securadio.LookupScenario("fame-jam")
-	if !ok {
-		b.Fatal("fame-jam scenario missing")
-	}
-	const runs = 256
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agg, err := securadio.RunCampaign(context.Background(), securadio.Campaign{
-			Scenario: sc, Runs: runs, Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if agg.Runs != runs || agg.Failures != 0 {
-			b.Fatalf("runs=%d failures=%d", agg.Runs, agg.Failures)
-		}
-	}
-	b.ReportMetric(float64(runs)*float64(b.N)/b.Elapsed().Seconds(), "runs/sec")
-}
-
 func registry() []benchmark {
 	reg := []benchmark{
 		{"BenchmarkRadioEngine", benchwork.RadioEngine},
@@ -163,9 +71,9 @@ func registry() []benchmark {
 		{"BenchmarkRadioEngine/steady-state-faulted", benchwork.RadioSteadyStateFaulted},
 		{"BenchmarkRadioEngine/steady-state-jam-wide", benchwork.RadioSteadyStateJamWide},
 		{"BenchmarkRadioEngine/steady-state-faulted-wide", benchwork.RadioSteadyStateFaultedWide},
-		{"BenchmarkFAMEBase/E=16/t=1", benchFAMEBase},
-		{"BenchmarkRunnerExchange/E=16/t=1", benchRunnerExchange},
-		{"BenchmarkFleetCampaign", benchFleetCampaign},
+		{"BenchmarkFAMEBase/E=16/t=1", benchwork.FAMEBase(16)},
+		{"BenchmarkRunnerExchange/E=16/t=1", benchwork.RunnerExchange},
+		{"BenchmarkFleetCampaign", benchwork.FleetCampaign},
 	}
 	for _, sz := range benchwork.LargeRegimeSizes {
 		reg = append(reg, benchmark{

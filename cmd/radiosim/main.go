@@ -71,18 +71,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return errParsed
 	}
 
-	var rgm securadio.Regime
-	switch *regime {
-	case "auto":
-		rgm = securadio.RegimeAuto
-	case "base":
-		rgm = securadio.RegimeBase
-	case "2t":
-		rgm = securadio.Regime2T
-	case "2t2":
-		rgm = securadio.Regime2T2
-	default:
-		return fmt.Errorf("unknown regime %q", *regime)
+	rgm, err := securadio.ParseRegime(*regime)
+	if err != nil {
+		return err
 	}
 
 	opts := []securadio.RunnerOption{

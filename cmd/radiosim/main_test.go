@@ -83,8 +83,15 @@ func TestRunRegimes(t *testing.T) {
 			if tc.ok && err != nil {
 				t.Fatalf("run(%v): %v", args, err)
 			}
-			if !tc.ok && err == nil {
-				t.Fatalf("run(%v) accepted bogus regime", args)
+			if !tc.ok {
+				if err == nil {
+					t.Fatalf("run(%v) accepted bogus regime", args)
+				}
+				for _, valid := range []string{"auto", "base", "2t", "2t2"} {
+					if !strings.Contains(err.Error(), valid) {
+						t.Fatalf("error %q does not name the valid regime %q", err, valid)
+					}
+				}
 			}
 		})
 	}

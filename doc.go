@@ -64,10 +64,6 @@
 // FaultDrops counters the fault layer uses, never silently skewing
 // results.
 //
-// The legacy one-shot functions (ExchangeMessages,
-// ExchangeMessagesCompact, EstablishGroupKey, RunSecureGroup) remain as
-// thin wrappers delegating to a Runner with an uncancellable context.
-//
 // Beyond the paper's four layers, RunCampaign fans scenario campaigns —
 // hundreds to thousands of independent simulations drawn from the named
 // scenario registry (see Scenarios) — across all cores and aggregates

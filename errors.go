@@ -12,14 +12,13 @@ import (
 )
 
 // Sentinel errors. Every validation, cancellation, quorum and setup
-// failure returned by a Runner method (and by the legacy one-shot
-// functions, which delegate to the Runner) matches exactly one of these
-// under errors.Is, and the concrete values carry structured fields for
+// failure returned by a Runner method matches exactly one of these under
+// errors.Is, and the concrete values carry structured fields for
 // programmatic inspection. Protocol-level whp failures that fit none of
 // the four classes (e.g. replica divergence at an unreasonable kappa)
 // pass through with their internal detail intact.
 var (
-	// ErrBadParams reports an invalid Network, Options or workload
+	// ErrBadParams reports an invalid Network, RunnerOption or workload
 	// configuration (model-bound violations included). The concrete value
 	// is a *ParamError wrapping the layer-specific validation error.
 	ErrBadParams = errors.New("securadio: invalid parameters")
@@ -31,15 +30,15 @@ var (
 	// errors.Is(err, context.DeadlineExceeded) keep working.
 	ErrCanceled = errors.New("securadio: run canceled")
 
-	// ErrNoQuorum is returned by GroupKey / EstablishGroupKey when no
-	// leader key gathered a reporter quorum (only possible outside the
-	// model's parameter bounds or in the negligible-probability failure
-	// branch). The concrete value is a *QuorumError.
+	// ErrNoQuorum is returned by Runner.GroupKey when no leader key
+	// gathered a reporter quorum (only possible outside the model's
+	// parameter bounds or in the negligible-probability failure branch).
+	// The concrete value is a *QuorumError.
 	ErrNoQuorum = errors.New("securadio: group key establishment reached no quorum")
 
-	// ErrSetupFailed is returned by SecureGroup / RunSecureGroup when
-	// group-key setup left fewer than n-t nodes holding the key; the
-	// concrete value is a *SetupError. Individual nodes failing setup
+	// ErrSetupFailed is returned by Runner.SecureGroup when group-key
+	// setup left fewer than n-t nodes holding the key; the concrete value
+	// is a *SetupError. Individual nodes failing setup
 	// locally are tolerated as keyless (counted in
 	// SecureGroupReport.SetupErrors), matching the fleet campaign path.
 	ErrSetupFailed = errors.New("securadio: secure group setup failed")

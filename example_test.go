@@ -56,9 +56,9 @@ func ExampleNewRunner() {
 	// observed jamming: true
 }
 
-// ExampleExchangeMessages runs f-AME on a small jammed network. The run is
+// ExampleRunner_Exchange runs f-AME on a small jammed network. The run is
 // fully deterministic for a fixed seed.
-func ExampleExchangeMessages() {
+func ExampleRunner_Exchange() {
 	net := securadio.Network{N: 20, C: 2, T: 1, Seed: 7}
 	net.Adversary = securadio.NewWorstCaseJammer(net)
 
@@ -73,7 +73,12 @@ func ExampleExchangeMessages() {
 		{Src: 4, Dst: 7}: "charlie",
 	}
 
-	report, err := securadio.ExchangeMessages(net, pairs, payloads, securadio.Options{})
+	r, err := securadio.NewRunner(net)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	report, err := r.Exchange(context.Background(), pairs, payloads)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -85,9 +90,9 @@ func ExampleExchangeMessages() {
 			fmt.Printf("%v: fail\n", p)
 		}
 	}
-	fmt.Println("cover within t:", report.DisruptionCover <= net.T)
 	// The worst-case jammer always claims its t-coverable share — here it
 	// manages to block one pair, and the sender knows it (Definition 1).
+	fmt.Println("cover within t:", report.DisruptionCover <= net.T)
 	// Output:
 	// 2->5: fail
 	// 3->6: bravo
@@ -95,13 +100,18 @@ func ExampleExchangeMessages() {
 	// cover within t: true
 }
 
-// ExampleEstablishGroupKey bootstraps a shared secret among 20 devices
+// ExampleRunner_GroupKey bootstraps a shared secret among 20 devices
 // with no pre-shared keys, under random jamming.
-func ExampleEstablishGroupKey() {
+func ExampleRunner_GroupKey() {
 	net := securadio.Network{N: 20, C: 2, T: 1, Seed: 1}
 	net.Adversary = securadio.NewJammer(net, 2)
 
-	report, err := securadio.EstablishGroupKey(net, securadio.Options{})
+	r, err := securadio.NewRunner(net)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	report, err := r.GroupKey(context.Background())
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -113,9 +123,9 @@ func ExampleEstablishGroupKey() {
 	// quorum met: true
 }
 
-// ExampleRunSecureGroup sends one authenticated broadcast over the
+// ExampleRunner_SecureGroup sends one authenticated broadcast over the
 // long-lived emulated channel.
-func ExampleRunSecureGroup() {
+func ExampleRunner_SecureGroup() {
 	net := securadio.Network{N: 20, C: 2, T: 1, Seed: 5}
 
 	var heardBy atomic.Int64 // the app callback runs once per node, concurrently
@@ -130,7 +140,12 @@ func ExampleRunSecureGroup() {
 			}
 		}
 	}
-	if _, err := securadio.RunSecureGroup(net, securadio.Options{}, app); err != nil {
+	r, err := securadio.NewRunner(net)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	if _, err := r.SecureGroup(context.Background(), app); err != nil {
 		fmt.Println("error:", err)
 		return
 	}

@@ -6,6 +6,7 @@ package securadio
 // channel.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -54,7 +55,7 @@ func TestExchangeInvariantsAcrossSeedsAndAdversaries(t *testing.T) {
 				net := Network{N: 20, C: 2, T: 1, Seed: seed}
 				net.Adversary = mk(net, seed+100)
 				pairs, payloads := randomWorkload(net.N, 10, seed)
-				rep, err := ExchangeMessages(net, pairs, payloads, Options{})
+				rep, err := newRunner(t, net).Exchange(context.Background(), pairs, payloads)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -98,7 +99,7 @@ func TestRegimesAgreeOnGuarantees(t *testing.T) {
 		}
 		net := Network{N: 64, C: c, T: tt, Seed: 9}
 		net.Adversary = NewWorstCaseJammer(net)
-		rep, err := ExchangeMessages(net, pairs, payloads, Options{Regime: rg})
+		rep, err := newRunner(t, net, WithRegime(rg)).Exchange(context.Background(), pairs, payloads)
 		if err != nil {
 			t.Fatalf("regime %v: %v", rg, err)
 		}
@@ -143,9 +144,9 @@ func TestFullStackUnderCombinedAttack(t *testing.T) {
 			}
 		}
 	}
-	rep, err := RunSecureGroup(net, Options{}, app)
+	rep, err := newRunner(t, net).SecureGroup(context.Background(), app)
 	if err != nil {
-		t.Fatalf("RunSecureGroup: %v", err)
+		t.Fatalf("SecureGroup: %v", err)
 	}
 	if rep.KeyHolders < net.N-net.T {
 		t.Fatalf("key holders %d", rep.KeyHolders)
@@ -177,11 +178,11 @@ func TestCompactAndPlainExchangeAgree(t *testing.T) {
 		anyPayloads[p] = s
 	}
 	net := Network{N: 20, C: 2, T: 1, Seed: 4}
-	plain, err := ExchangeMessages(net, pairs, anyPayloads, Options{})
+	plain, err := newRunner(t, net).Exchange(context.Background(), pairs, anyPayloads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compact, err := ExchangeMessagesCompact(net, pairs, strPayloads, Options{})
+	compact, err := newRunner(t, net).ExchangeCompact(context.Background(), pairs, strPayloads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestDeterminismOfFullAPI(t *testing.T) {
 		net := Network{N: 20, C: 2, T: 1, Seed: 123}
 		net.Adversary = NewJammer(net, 321)
 		pairs, payloads := randomWorkload(net.N, 8, 5)
-		rep, err := ExchangeMessages(net, pairs, payloads, Options{})
+		rep, err := newRunner(t, net).Exchange(context.Background(), pairs, payloads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +223,7 @@ func TestGroupKeyAcrossScales(t *testing.T) {
 	for _, n := range []int{18, 30, 48} {
 		net := Network{N: n, C: 2, T: 1, Seed: int64(n)}
 		net.Adversary = NewJammer(net, int64(n)*7)
-		rep, err := EstablishGroupKey(net, Options{})
+		rep, err := newRunner(t, net).GroupKey(context.Background())
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}

@@ -1,15 +1,20 @@
-// Package benchwork holds the radio-engine benchmark workloads shared by
-// the root package's benchmarks (bench_test.go) and cmd/benchjson, so the
+// Package benchwork holds the benchmark workloads shared by the root
+// package's benchmarks (bench_test.go) and cmd/benchjson, so the
 // committed BENCH_*.json trajectory always measures exactly the workload
-// CI smoke-runs. Only workloads that depend solely on internal packages
-// can live here; benchmarks over the public securadio API (f-AME, fleet
-// campaigns) would be an import cycle and stay mirrored at both sites.
+// CI smoke-runs.
 package benchwork
 
 import (
+	"context"
+	"fmt"
+	"math/rand"
 	"testing"
 
+	"securadio"
+	"securadio/internal/adversary"
+	"securadio/internal/core"
 	"securadio/internal/fault"
+	"securadio/internal/graph"
 	"securadio/internal/radio"
 )
 
@@ -162,6 +167,101 @@ func LargeRegime(n, c int) func(b *testing.B) {
 		}
 		b.ReportMetric(float64(n), "node-rounds/op")
 	}
+}
+
+// fameBase is the network of Figure 3's C=t+1 row that FAMEBase and
+// RunnerExchange share.
+var fameBase = core.Params{N: 22, C: 2, T: 1, Regime: core.RegimeBase}
+
+// FAMEBase returns FAME's workload on the base-regime network (N=22, C=2,
+// t=1).
+func FAMEBase(numPairs int) func(b *testing.B) { return FAME(fameBase, numPairs) }
+
+// FAME returns the f-AME workload for p: one fresh exchange of numPairs
+// random pairs per iteration against the omniscient greedy jammer,
+// reporting the simulated radio rounds per run.
+func FAME(p core.Params, numPairs int) func(b *testing.B) {
+	return func(b *testing.B) {
+		pairs, values := famePairs(numPairs)
+		totalRounds := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			adv := &adversary.GreedyJammer{T: p.T, C: p.C}
+			out, err := core.Exchange(p, pairs, values, adv, int64(i))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if out.CoverSize > p.T {
+				b.Fatalf("cover %d exceeds t", out.CoverSize)
+			}
+			totalRounds += out.Rounds
+		}
+		b.ReportMetric(float64(totalRounds)/float64(b.N), "radio-rounds/op")
+	}
+}
+
+// RunnerExchange is FAMEBase's 16-pair cell driven through the public
+// context-aware Runner with a nil Observer, pinning the Runner plus the
+// nil-observer fast path at approximately zero cost over the internal
+// entrypoint.
+func RunnerExchange(b *testing.B) {
+	pairs, payloads := famePairs(16)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net := securadio.Network{N: fameBase.N, C: fameBase.C, T: fameBase.T, Seed: int64(i)}
+		r, err := securadio.NewRunner(net,
+			securadio.WithRegime(fameBase.Regime),
+			securadio.WithAdversary(securadio.NewWorstCaseJammer(net)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := r.Exchange(ctx, pairs, payloads)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.DisruptionCover > net.T {
+			b.Fatalf("cover %d exceeds t", rep.DisruptionCover)
+		}
+	}
+}
+
+// FleetCampaign measures campaign throughput (runs/sec) of the fleet
+// executor on a 256-run f-AME campaign across all cores.
+func FleetCampaign(b *testing.B) {
+	sc, ok := securadio.LookupScenario("fame-jam")
+	if !ok {
+		b.Fatal("fame-jam scenario missing")
+	}
+	const runs = 256
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agg, err := securadio.RunCampaign(context.Background(), securadio.Campaign{
+			Scenario: sc, Runs: runs, Seed: int64(i),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if agg.Runs != runs || agg.Failures != 0 {
+			b.Fatalf("runs=%d failures=%d", agg.Runs, agg.Failures)
+		}
+	}
+	b.ReportMetric(float64(runs)*float64(b.N)/b.Elapsed().Seconds(), "runs/sec")
+}
+
+// famePairs builds the f-AME workloads' reproducible pair set: numPairs
+// random pairs over the first 12 nodes, each with its own payload.
+func famePairs(numPairs int) ([]graph.Edge, map[graph.Edge]radio.Message) {
+	rng := rand.New(rand.NewSource(7))
+	pairs := graph.RandomPairs(12, numPairs, rng.Intn)
+	values := make(map[graph.Edge]radio.Message, len(pairs))
+	for _, e := range pairs {
+		values[e] = fmt.Sprintf("m%v", e)
+	}
+	return pairs, values
 }
 
 // steadyStateProcs builds the shared workload: n nodes, each taking

@@ -37,7 +37,7 @@ import (
 
 // Protocol names accepted by Scenario.Proto.
 const (
-	ProtoFame        = "fame"         // ExchangeMessages (surrogate f-AME)
+	ProtoFame        = "fame"         // Runner.Exchange (surrogate f-AME)
 	ProtoFameCompact = "fame-compact" // Section 5.6 message-size optimization
 	ProtoFameDirect  = "fame-direct"  // direct mode (2t-disruptable baseline)
 	ProtoGroupKey    = "groupkey"     // Section 6 group-key establishment
@@ -148,6 +148,14 @@ func NewAdversary(name string, t, c int, seed int64) (radio.Adversary, error) {
 		return nil, fmt.Errorf("fleet: unknown adversary %q (have %v)", name, Adversaries())
 	}
 	return factory(t, c, seed), nil
+}
+
+// LookupAdversary returns the constructor registered under name without
+// building an instance, so a caller that runs the strategy many times can
+// check the name once and build a fresh interferer per run.
+func LookupAdversary(name string) (AdversaryFactory, bool) {
+	factory, ok := advFactories[name]
+	return factory, ok
 }
 
 // Adversaries returns the registered interferer strategy names, sorted.

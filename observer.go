@@ -84,8 +84,8 @@ type RoundEvent struct {
 }
 
 // Observer receives the streaming per-round event feed of a Runner. The
-// stream is deterministic: for a fixed (Network, Options, workload) it is
-// identical across runs and worker schedules.
+// stream is deterministic: for a fixed Network, set of RunnerOptions and
+// workload it is identical across runs and worker schedules.
 //
 // Observation is purely passive — an Observer cannot influence the run —
 // and a nil Observer is free: the engine skips event assembly entirely,

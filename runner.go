@@ -6,6 +6,7 @@ import (
 
 	"securadio/internal/core"
 	"securadio/internal/fault"
+	"securadio/internal/fleet"
 	"securadio/internal/groupkey"
 	"securadio/internal/msgopt"
 	"securadio/internal/radio"
@@ -22,18 +23,19 @@ import (
 // package's typed hierarchy (ErrBadParams, ErrCanceled, ErrNoQuorum,
 // ErrSetupFailed).
 //
-// A Runner is stateless between calls (each method simulates a fresh
-// network from Network.Seed) and safe for concurrent use as long as the
-// configured adversary and observer are; the stock adversaries are
-// stateful, so concurrent callers should build one Runner per goroutine.
-//
-// The legacy one-shot functions (ExchangeMessages, EstablishGroupKey,
-// RunSecureGroup, ...) are thin wrappers over a Runner, so both styles are
-// the same code path — as are fleet campaigns, which share the internal
-// protocol entrypoints the Runner calls.
+// A Runner keeps no state between calls: each method simulates a fresh
+// network from Network.Seed, with a fresh instance of an adversary named
+// by strategy, and a Runner so configured is safe for concurrent use when
+// its observer is. A ready Interferer (WithAdversary or
+// Network.Adversary) is shared by every call and carries its state from
+// one call to the next.
 type Runner struct {
 	net       Network
-	opts      Options
+	regime    Regime
+	direct    bool
+	kappa     float64
+	cleanup   int
+	newAdv    fleet.AdversaryFactory // per-call adversary of a strategy name
 	obs       Observer
 	faults    *fault.Profile
 	transport Transport
@@ -45,25 +47,28 @@ type RunnerOption func(*Runner) error
 // WithRegime selects the f-AME channel-usage strategy (default
 // RegimeAuto).
 func WithRegime(regime Regime) RunnerOption {
-	return func(r *Runner) error { r.opts.Regime = regime; return nil }
+	return func(r *Runner) error { r.regime = regime; return nil }
 }
 
 // WithDirect toggles surrogate-free direct exchange (the 2t-disruptable
 // baseline / Byzantine-tolerant variant of Section 8).
 func WithDirect(direct bool) RunnerOption {
-	return func(r *Runner) error { r.opts.Direct = direct; return nil }
+	return func(r *Runner) error { r.direct = direct; return nil }
 }
 
 // WithKappa scales all with-high-probability repetition counts;
 // non-positive selects the library default.
 func WithKappa(kappa float64) RunnerOption {
-	return func(r *Runner) error { r.opts.Kappa = kappa; return nil }
+	return func(r *Runner) error { r.kappa = kappa; return nil }
 }
 
 // WithCleanup enables the best-effort post-termination delivery extension
-// with the given move budget (see Options.Cleanup).
+// (Section 8, open question 3): after the greedy strategy terminates, the
+// nodes keep scheduling the surviving pairs for up to moves extra moves,
+// which short of a perfectly targeted jammer usually empties the
+// disruption graph.
 func WithCleanup(moves int) RunnerOption {
-	return func(r *Runner) error { r.opts.Cleanup = moves; return nil }
+	return func(r *Runner) error { r.cleanup = moves; return nil }
 }
 
 // WithObserver streams every radio round of every run into obs as
@@ -105,21 +110,24 @@ func WithTransport(t Transport) RunnerOption {
 }
 
 // WithAdversary installs the interferer, overriding Network.Adversary. It
-// accepts either a registry strategy name (see AdversaryStrategies) — the
-// instance is then built exactly as fleet campaigns build it, seeded with
-// Network.Seed+1 like the CLIs — or a ready Interferer instance. A nil
-// Interferer (or the name "none") means no interference.
+// accepts either a registry strategy name (see AdversaryStrategies) or a
+// ready Interferer instance. A name gives every call a fresh instance,
+// built exactly as fleet campaigns build it and seeded with
+// Network.Seed+1 like the CLIs. A ready instance is shared by every call,
+// so its state carries from call to call. A nil Interferer (or the name
+// "none") means no interference.
 func WithAdversary(adv any) RunnerOption {
 	return func(r *Runner) error {
+		r.newAdv, r.net.Adversary = nil, nil
 		switch a := adv.(type) {
 		case nil:
-			r.net.Adversary = nil
 		case string:
-			built, err := NewAdversary(a, r.net, r.net.Seed+1)
-			if err != nil {
-				return &ParamError{Op: "configure adversary", Err: err}
+			factory, ok := fleet.LookupAdversary(a)
+			if !ok {
+				return &ParamError{Op: "configure adversary",
+					Err: fmt.Errorf("unknown adversary %q (have %v)", a, AdversaryStrategies())}
 			}
-			r.net.Adversary = built
+			r.newAdv = factory
 		case Interferer:
 			r.net.Adversary = a
 		default:
@@ -148,11 +156,29 @@ func NewRunner(net Network, options ...RunnerOption) (*Runner, error) {
 	return r, nil
 }
 
-// withOptions is the legacy bridge: it installs a complete Options value
-// on the Runner, so the one-shot functions delegate without re-encoding
-// each field.
-func withOptions(opts Options) RunnerOption {
-	return func(r *Runner) error { r.opts = opts; return nil }
+// fameParams assembles the f-AME parameters from the Runner's shared
+// configuration.
+func (r *Runner) fameParams() core.Params {
+	mode := core.ModeSurrogate
+	if r.direct {
+		mode = core.ModeDirect
+	}
+	return core.Params{
+		N: r.net.N, C: r.net.C, T: r.net.T,
+		Mode:    mode,
+		Regime:  r.regime,
+		Kappa:   r.kappa,
+		Cleanup: r.cleanup,
+	}
+}
+
+// adversary returns the interferer for one call: a fresh instance of the
+// named strategy, or the configured Interferer as-is.
+func (r *Runner) adversary() Interferer {
+	if r.newAdv != nil {
+		return r.newAdv(r.net.T, r.net.C, r.net.Seed+1)
+	}
+	return r.net.Adversary
 }
 
 // Exchange runs the f-AME protocol (the paper's core contribution): each
@@ -161,7 +187,7 @@ func withOptions(opts Options) RunnerOption {
 // configured adversary. Cancelling ctx aborts the simulation at the next
 // round boundary with an error matching ErrCanceled.
 func (r *Runner) Exchange(ctx context.Context, pairs []Pair, payloads map[Pair]Message) (*ExchangeReport, error) {
-	p := r.opts.fameParams(r.net)
+	p := r.fameParams()
 	p.Trace = r.trace()
 	p.Transport = r.transport
 	plan, err := r.faultPlan()
@@ -169,7 +195,7 @@ func (r *Runner) Exchange(ctx context.Context, pairs []Pair, payloads map[Pair]M
 		return nil, err
 	}
 	p.Faults = plan
-	out, err := core.ExchangeContext(ctx, p, pairs, payloads, r.net.Adversary, r.net.Seed)
+	out, err := core.ExchangeContext(ctx, p, pairs, payloads, r.adversary(), r.net.Seed)
 	if err != nil {
 		return nil, wrapErr("exchange", err)
 	}
@@ -220,7 +246,7 @@ func setFaultCounters(plan *fault.Plan, drops, lost, degraded *int) {
 // constant-size vector signatures ride the authenticated exchange.
 // Payloads must be strings (the optimization hashes them).
 func (r *Runner) ExchangeCompact(ctx context.Context, pairs []Pair, payloads map[Pair]string) (*ExchangeReport, error) {
-	p := msgopt.Params{Fame: r.opts.fameParams(r.net), EpochKappa: r.opts.Kappa}
+	p := msgopt.Params{Fame: r.fameParams(), EpochKappa: r.kappa}
 	p.Fame.Trace = r.trace()
 	p.Fame.Transport = r.transport
 	plan, err := r.faultPlan()
@@ -228,7 +254,7 @@ func (r *Runner) ExchangeCompact(ctx context.Context, pairs []Pair, payloads map
 		return nil, err
 	}
 	p.Fame.Faults = plan
-	out, err := msgopt.ExchangeContext(ctx, p, pairs, payloads, r.net.Adversary, r.net.Seed)
+	out, err := msgopt.ExchangeContext(ctx, p, pairs, payloads, r.adversary(), r.net.Seed)
 	if err != nil {
 		return nil, wrapErr("compact exchange", err)
 	}
@@ -260,7 +286,7 @@ func (r *Runner) GroupKey(ctx context.Context) (*GroupKeyReport, error) {
 		return nil, err
 	}
 	p.Faults = plan
-	out, err := groupkey.EstablishContext(ctx, p, r.net.Adversary, r.net.Seed)
+	out, err := groupkey.EstablishContext(ctx, p, r.adversary(), r.net.Seed)
 	if err != nil {
 		return nil, wrapErr("group key", err)
 	}
@@ -296,7 +322,7 @@ func (r *Runner) SecureGroup(ctx context.Context, app SecureGroupApp) (*SecureGr
 	if err := gkParams.Validate(); err != nil {
 		return nil, wrapErr("secure group", err)
 	}
-	chParams := secure.Params{N: net.N, C: net.C, T: net.T, Kappa: r.opts.Kappa}
+	chParams := secure.Params{N: net.N, C: net.C, T: net.T, Kappa: r.kappa}
 
 	report := &SecureGroupReport{
 		SlotRounds:        chParams.SlotRounds(),
@@ -328,7 +354,7 @@ func (r *Runner) SecureGroup(ctx context.Context, app SecureGroupApp) (*SecureGr
 	}
 	cfg := radio.Config{
 		N: net.N, C: net.C, T: net.T, Seed: net.Seed,
-		Adversary: net.Adversary, Trace: r.trace(), Faults: plan,
+		Adversary: r.adversary(), Trace: r.trace(), Faults: plan,
 		Transport: r.transport,
 	}
 	radioRes, err := radio.RunContext(ctx, cfg, procs)
@@ -372,6 +398,6 @@ func (r *Runner) SecureGroup(ctx context.Context, app SecureGroupApp) (*SecureGr
 func (r *Runner) groupKeyParams() groupkey.Params {
 	return groupkey.Params{
 		N: r.net.N, C: r.net.C, T: r.net.T,
-		Kappa: r.opts.Kappa, Regime: r.opts.Regime,
+		Kappa: r.kappa, Regime: r.regime,
 	}
 }

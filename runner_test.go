@@ -2,8 +2,12 @@ package securadio
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
@@ -112,29 +116,77 @@ func TestRunnerCancellationDeadline(t *testing.T) {
 	}
 }
 
-// TestRunnerMatchesLegacyFunctions pins the wrapper contract: the legacy
-// one-shot functions and the Runner produce identical reports for the
-// same configuration, because they are the same code path.
-func TestRunnerMatchesLegacyFunctions(t *testing.T) {
-	net := testNet()
-	net.Adversary = NewWorstCaseJammer(net)
-	pairs, payloads := somePairs()
-	legacy, err := ExchangeMessages(net, pairs, payloads, Options{})
-	if err != nil {
-		t.Fatal(err)
+// TestRunnerCallsRepeat pins the Runner's no-state contract for an
+// adversary configured by strategy name: every call builds a fresh
+// instance, so two calls on one Runner return equal reports and equal
+// observer streams.
+func TestRunnerCallsRepeat(t *testing.T) {
+	calls := map[string]func(r *Runner) (any, error){
+		"Exchange": func(r *Runner) (any, error) {
+			pairs, payloads := somePairs()
+			return r.Exchange(context.Background(), pairs, payloads)
+		},
+		"GroupKey": func(r *Runner) (any, error) { return r.GroupKey(context.Background()) },
 	}
+	for _, adv := range []string{"jam", "hop", "burst", "replay", "combo"} {
+		for name, call := range calls {
+			t.Run(adv+"/"+name, func(t *testing.T) {
+				t.Parallel()
+				d := &digestingObserver{h: sha256.New()}
+				r := newRunner(t, Network{N: 20, C: 2, T: 1, Seed: 3}, WithAdversary(adv), WithObserver(d))
+				var reports [2]any
+				var digests [2]string
+				for i := range reports {
+					rep, err := call(r)
+					if err != nil {
+						t.Fatalf("call %d: %v", i+1, err)
+					}
+					reports[i], digests[i] = rep, hex.EncodeToString(d.h.Sum(nil))
+					d.h.Reset()
+				}
+				if !reflect.DeepEqual(reports[0], reports[1]) {
+					t.Fatalf("second call's report differs:\n%+v\nvs\n%+v", reports[0], reports[1])
+				}
+				if digests[0] != digests[1] {
+					t.Fatalf("second call's event stream differs: %s then %s", digests[0], digests[1])
+				}
+			})
+		}
+	}
+}
 
-	net2 := testNet()
-	r, err := NewRunner(net2, WithAdversary(NewWorstCaseJammer(net2)))
+// TestRunnerSharedAcrossGoroutines shares one Runner configured with a
+// strategy name between two goroutines: each call owns its adversary, so
+// the calls neither race (CI runs this under -race) nor disturb each
+// other's report.
+func TestRunnerSharedAcrossGoroutines(t *testing.T) {
+	r := newRunner(t, Network{N: 20, C: 2, T: 1, Seed: 3}, WithAdversary("jam"))
+	pairs, payloads := somePairs()
+	want, err := r.Exchange(context.Background(), pairs, payloads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaRunner, err := r.Exchange(context.Background(), pairs, payloads)
-	if err != nil {
-		t.Fatal(err)
+	var (
+		wg   sync.WaitGroup
+		got  [2]*ExchangeReport
+		errs [2]error
+	)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pairs, payloads := somePairs()
+			got[i], errs[i] = r.Exchange(context.Background(), pairs, payloads)
+		}()
 	}
-	if fmt.Sprintf("%+v", legacy) != fmt.Sprintf("%+v", viaRunner) {
-		t.Fatalf("legacy and Runner reports diverge:\n%+v\nvs\n%+v", legacy, viaRunner)
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("goroutine %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("goroutine %d's report differs from a lone call's:\n%+v\nvs\n%+v", i, got[i], want)
+		}
 	}
 }
 

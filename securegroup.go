@@ -1,8 +1,6 @@
 package securadio
 
 import (
-	"context"
-
 	"securadio/internal/radio"
 	"securadio/internal/secure"
 )
@@ -19,7 +17,7 @@ type Delivery struct {
 }
 
 // Session is an application's per-node handle on the long-lived secure
-// broadcast channel of Section 7. The Run callback receives one Session
+// broadcast channel of Section 7. The SecureGroupApp receives one Session
 // per node; all sessions advance in lock-step, one emulated round per
 // Step call. An emulated round costs Theta(t log n) real radio rounds.
 type Session interface {
@@ -41,11 +39,11 @@ type Session interface {
 	Step(body []byte) []Delivery
 }
 
-// SecureGroupApp is the per-node application driven by RunSecureGroup.
+// SecureGroupApp is the per-node application driven by Runner.SecureGroup.
 // Every node's app must call Step the same number of times.
 type SecureGroupApp func(s Session)
 
-// SecureGroupReport summarizes a RunSecureGroup execution.
+// SecureGroupReport summarizes a Runner.SecureGroup execution.
 type SecureGroupReport struct {
 	// KeyHolders is the number of nodes that obtained the group key
 	// during setup (at least n-t whp).
@@ -105,21 +103,4 @@ func (s *session) Step(body []byte) []Delivery {
 		out = append(out, Delivery{Sender: r.Sender, EmRound: r.EmRound, Body: r.Body})
 	}
 	return out
-}
-
-// RunSecureGroup executes the complete stack of the paper: group-key
-// establishment (Section 6, bootstrapped by f-AME) followed by the
-// long-lived secure channel emulation (Section 7), on which the supplied
-// application runs. The application callback is invoked once per node,
-// inside the simulation; all callbacks must perform the same number of
-// Step calls.
-//
-// It is a convenience wrapper over Runner.SecureGroup with an
-// uncancellable context.
-func RunSecureGroup(net Network, opts Options, app SecureGroupApp) (*SecureGroupReport, error) {
-	r, err := NewRunner(net, withOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	return r.SecureGroup(context.Background(), app)
 }

@@ -12,13 +12,13 @@ import (
 func TestSecureGroupSetupRoundsIsMax(t *testing.T) {
 	net := testNet()
 	net.Adversary = NewJammer(net, 23)
-	rep, err := RunSecureGroup(net, Options{}, func(s Session) {
+	rep, err := newRunner(t, net).SecureGroup(context.Background(), func(s Session) {
 		for em := 0; em < 2; em++ {
 			s.Step(nil)
 		}
 	})
 	if err != nil {
-		t.Fatalf("RunSecureGroup: %v", err)
+		t.Fatalf("SecureGroup: %v", err)
 	}
 	if len(rep.SetupRoundsByNode) != net.N {
 		t.Fatalf("SetupRoundsByNode has %d entries for N=%d", len(rep.SetupRoundsByNode), net.N)
